@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/summary.h"
 #include "src/stats/table.h"
 
@@ -24,7 +24,7 @@ void run_config(Table& table, ThreadPool& pool, ProtocolKind protocol,
   point.activation = activation;
   point.activation_window = 48;
   point.extra_rounds = 128;
-  const PointResult result = run_point_parallel(point, make_seeds(runs), pool);
+  const PointResult result = run_points({point}, runs, pool)[0];
   const Proportion multi = wilson_interval(result.multi_leader_runs, runs);
   table.row()
       .cell(std::string(to_string(protocol)))

@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
@@ -36,8 +36,9 @@ int main(int argc, char** argv) {
 
   const Scenario& sweep = ScenarioRegistry::get("drift_cadence_sweep");
   const int seeds = sweep.default_seeds;
+  ThreadPool pool;
   const std::vector<PointResult> results =
-      run_points_parallel(sweep.grid, seeds);
+      run_points(sweep.grid, seeds, pool);
 
   Table table({"ppm", "R", "runs", "synced", "maint rounds", "offset bound",
                "max offset", "offset viol", "resyncs"});

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
       "(cf. Bradonjic-Kohler-Ostrovsky)");
   const Scenario& scenario = ScenarioRegistry::get("energy_vs_contention");
   const int seeds = scenario.default_seeds;
+  ThreadPool pool;
   const std::vector<PointResult> results =
-      run_points_parallel(scenario.grid, seeds);
+      run_points(scenario.grid, seeds, pool);
 
   Table table({"t_actual", "runs", "p50 rounds", "awake p50", "awake max",
                "bcast share", "listen share", "budget", "violations"});

@@ -1,6 +1,7 @@
-// E15 — Parallel runner scaling: serial vs wsync_parallel wall-clock on the
-// Theorem 10 workload (Trapdoor, staggered activation, random-subset
-// jammer), replicated across seeds at 1/2/4/8 workers.
+// E15 — Parallel runner scaling: a serial seed loop vs parallel_for on the
+// thread pool, wall-clock on the Theorem 10 workload (Trapdoor, staggered
+// activation, random-subset jammer), replicated across seeds at 1/2/4/8
+// workers.
 //
 // Besides the stdout table, writes BENCH_parallel_scaling.json (path
 // overridable via argv[1]) so CI can track the perf trajectory from PR to
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/thread_pool.h"
 #include "src/experiment/sweep.h"
 #include "src/stats/table.h"
 #include "src/sync/runner.h"
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
 
   bench::section(
       "Parallel runner scaling — Theorem 10 workload, serial vs "
-      "wsync_parallel");
+      "parallel_for");
   std::printf("Trapdoor, F = %d, t = %d, N = %lld, n = %d, %d seeds; "
               "hardware concurrency = %d\n\n",
               point.F, point.t, static_cast<long long>(point.N), point.n,
@@ -73,10 +75,16 @@ int main(int argc, char** argv) {
 
   const RunSpec spec = make_run_spec(point);
   const std::vector<uint64_t> seeds = make_seeds(seed_count);
+  const auto run_seed = [&](std::vector<RunOutcome>& outcomes, size_t i) {
+    RunSpec seeded = spec;
+    seeded.sim.seed = seeds[i];
+    outcomes[i] = run_sync_experiment(seeded);
+  };
 
-  std::vector<RunOutcome> serial;
-  const double serial_ms =
-      bench::time_ms([&] { serial = run_sync_experiments(spec, seeds); });
+  std::vector<RunOutcome> serial(seeds.size());
+  const double serial_ms = bench::time_ms([&] {
+    for (size_t i = 0; i < seeds.size(); ++i) run_seed(serial, i);
+  });
 
   struct Measurement {
     int workers;
@@ -86,9 +94,11 @@ int main(int argc, char** argv) {
   std::vector<Measurement> measurements;
   for (const int workers : {1, 2, 4, 8}) {
     ThreadPool pool(workers);  // pool construction is part of neither timing
-    std::vector<RunOutcome> outcomes;
-    const double ms = bench::time_ms(
-        [&] { outcomes = run_sync_experiments_parallel(spec, seeds, pool); });
+    std::vector<RunOutcome> outcomes(seeds.size());
+    const double ms = bench::time_ms([&] {
+      parallel_for(pool, seeds.size(),
+                   [&](size_t i) { run_seed(outcomes, i); });
+    });
     measurements.push_back({workers, ms, identical(serial, outcomes)});
   }
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/regression.h"
 #include "src/stats/table.h"
 
@@ -34,7 +34,7 @@ void run_sweep(ThreadPool& pool, int F, int64_t N, int n, int seeds) {
   }
   std::vector<double> model;
   std::vector<double> measured;
-  for (const PointResult& result : run_points_parallel(points, seeds, pool)) {
+  for (const PointResult& result : run_points(points, seeds, pool)) {
     const int t = result.point.t;
     const double predicted = trapdoor_predicted_rounds(F, t, N);
     model.push_back(predicted);

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/experiment/parallel_sweep.h"
 #include "src/samaritan/schedule.h"
+#include "src/service/streaming_sweep.h"
 #include "src/stats/table.h"
 
 namespace wsync {
@@ -25,8 +25,9 @@ void run_case(int F, int t, int64_t N, int n, int seeds) {
 
   ExperimentPoint td_point = gs_point;
   td_point.protocol = ProtocolKind::kTrapdoor;
+  ThreadPool pool;
   const std::vector<PointResult> results =
-      run_points_parallel({gs_point, td_point}, seeds);
+      run_points({gs_point, td_point}, seeds, pool);
   const PointResult& gs = results[0];
   const PointResult& td = results[1];
 

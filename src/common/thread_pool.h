@@ -106,7 +106,7 @@ class ThreadPool {
 /// queued iterations are skipped once a failure is observed). Do not call
 /// from inside a pool task — it blocks in wait_idle(), which a worker
 /// thread must never do (see above); nest by flattening the work into one
-/// batch instead, as run_points_parallel does.
+/// batch instead, as OrderedChunkQueue does with (chunk, seed) tasks.
 void parallel_for(ThreadPool& pool, size_t count,
                   const std::function<void(size_t)>& fn);
 

@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/experiment/field_list.h"
 
 namespace wsync {
 
@@ -123,6 +125,42 @@ struct ExperimentPoint {
   /// DutyCycleConfig::resync_every_awake_slots). 0 disables.
   int resync_awake_slots = 0;
 };
+
+/// Every ExperimentPoint member, in the order plan_fingerprint mixes them
+/// (see src/experiment/field_list.h). A new member needs an entry here.
+inline constexpr std::tuple kPointFields{
+    Field{"F", &ExperimentPoint::F, Codec::kInt},
+    Field{"t", &ExperimentPoint::t, Codec::kInt},
+    Field{"N", &ExperimentPoint::N, Codec::kInt},
+    Field{"n", &ExperimentPoint::n, Codec::kInt},
+    Field{"protocol", &ExperimentPoint::protocol, Codec::kInt},
+    Field{"adversary", &ExperimentPoint::adversary, Codec::kInt},
+    Field{"activation", &ExperimentPoint::activation, Codec::kInt},
+    Field{"jam_count", &ExperimentPoint::jam_count, Codec::kInt},
+    Field{"activation_window", &ExperimentPoint::activation_window,
+          Codec::kInt},
+    Field{"max_rounds", &ExperimentPoint::max_rounds, Codec::kInt},
+    Field{"extra_rounds", &ExperimentPoint::extra_rounds, Codec::kInt},
+    Field{"duty_period", &ExperimentPoint::duty_period, Codec::kInt},
+    Field{"duty_on", &ExperimentPoint::duty_on, Codec::kInt},
+    Field{"whitespace_available", &ExperimentPoint::whitespace_available,
+          Codec::kInt},
+    Field{"whitespace_shared", &ExperimentPoint::whitespace_shared,
+          Codec::kInt},
+    Field{"energy_budget", &ExperimentPoint::energy_budget, Codec::kInt},
+    Field{"drift_ppm", &ExperimentPoint::drift_ppm, Codec::kInt},
+    Field{"maintenance_rounds", &ExperimentPoint::maintenance_rounds,
+          Codec::kInt},
+    Field{"offset_bound", &ExperimentPoint::offset_bound, Codec::kInt},
+    Field{"resync_awake_slots", &ExperimentPoint::resync_awake_slots,
+          Codec::kInt},
+    Field{"crash_waves", &ExperimentPoint::crash_waves, Codec::kWaves},
+    // Never fingerprinted: dense and sparse are bit-identical by contract,
+    // so a checkpoint taken under one engine resumes under the other.
+    Field{"engine", &ExperimentPoint::engine, Codec::kSkip},
+};
+static_assert(valid_field_list<ExperimentPoint>(kPointFields),
+              "kPointFields must list every ExperimentPoint member once");
 
 }  // namespace wsync
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
 #include "src/adversary/adaptive.h"
 #include "src/adversary/basic.h"
@@ -303,7 +305,22 @@ PointResult aggregate_point(const ExperimentPoint& point,
                             const std::vector<RunOutcome>& outcomes) {
   PointResult result;
   result.point = point;
-  result.runs = static_cast<int>(outcomes.size());
+
+  // The plain sums and maxes, straight from the field list.
+  for_each_field(kResultFields, [&](const auto& field) {
+    if constexpr (std::is_invocable_v<decltype(field.per_run),
+                                      const RunOutcome&>) {
+      auto& value = result.*field.member;
+      using Member = std::remove_reference_t<decltype(value)>;
+      for (const RunOutcome& outcome : outcomes) {
+        const auto sample =
+            static_cast<Member>(std::invoke(field.per_run, outcome));
+        value = field.merge == Merge::kMax
+                    ? std::max(value, sample)
+                    : static_cast<Member>(value + sample);
+      }
+    }
+  });
 
   std::vector<double> rounds;
   std::vector<double> latencies;
@@ -313,36 +330,19 @@ PointResult aggregate_point(const ExperimentPoint& point,
   std::vector<double> max_offsets;
   for (const RunOutcome& outcome : outcomes) {
     if (outcome.synced) {
-      ++result.synced_runs;
       rounds.push_back(static_cast<double>(outcome.rounds));
       RoundId worst = 0;
       for (RoundId latency : outcome.sync_latency) {
         worst = std::max(worst, latency);
       }
       latencies.push_back(static_cast<double>(worst));
-    } else {
-      ++result.timeout_runs;
     }
-    result.agreement_violations += outcome.properties.agreement_violations;
-    result.commit_violations += outcome.properties.synch_commit_violations;
-    result.correctness_violations +=
-        outcome.properties.correctness_violations;
-    result.max_leaders = std::max(
-        result.max_leaders, outcome.properties.max_simultaneous_leaders);
-    if (outcome.properties.max_simultaneous_leaders >= 2) {
-      ++result.multi_leader_runs;
-    }
-    result.max_broadcast_weight =
-        std::max(result.max_broadcast_weight, outcome.max_broadcast_weight);
 
     // Energy is spent whether or not the run reached liveness, so the radio
     // use summaries cover every run (unlike rounds_to_live).
     max_awake.push_back(static_cast<double>(outcome.energy.max_awake_rounds));
     mean_awake.push_back(outcome.energy.mean_awake_rounds);
     awake_fraction.push_back(outcome.energy.awake_fraction());
-    result.broadcast_rounds += outcome.energy.broadcast_rounds;
-    result.listen_rounds += outcome.energy.listen_rounds;
-    result.sleep_rounds += outcome.energy.sleep_rounds;
     if (point.energy_budget >= 0 &&
         outcome.energy.max_awake_rounds > point.energy_budget) {
       ++result.energy_budget_violations;
@@ -351,16 +351,6 @@ PointResult aggregate_point(const ExperimentPoint& point,
     // Maintenance offsets cover every run (all 0 without a maintenance
     // phase, so the summary stays well-defined for legacy points).
     max_offsets.push_back(static_cast<double>(outcome.max_offset_seen));
-    result.offset_violations += outcome.offset_violations;
-    result.resync_count += outcome.resync_count;
-
-    result.rounds_simulated += outcome.rounds_simulated;
-    result.deliveries += outcome.deliveries;
-    result.collisions += outcome.collisions;
-    result.absences += outcome.absences;
-    result.knockouts += outcome.knockouts;
-    result.wake_events_popped += outcome.wake_events_popped;
-    result.fast_forwarded_rounds += outcome.fast_forwarded_rounds;
   }
   result.rounds_to_live = summarize(rounds);
   result.max_node_latency = summarize(latencies);
@@ -369,12 +359,6 @@ PointResult aggregate_point(const ExperimentPoint& point,
   result.awake_fraction = summarize(awake_fraction);
   result.max_offset = summarize(max_offsets);
   return result;
-}
-
-PointResult run_point(const ExperimentPoint& point,
-                      const std::vector<uint64_t>& seeds) {
-  const RunSpec spec = make_run_spec(point);
-  return aggregate_point(point, run_sync_experiments(spec, seeds));
 }
 
 double trapdoor_predicted_rounds(int F, int t, int64_t N) {

@@ -48,13 +48,4 @@ double MemoryTrace::max_broadcast_weight() const {
   return max_weight;
 }
 
-void CountingTrace::on_round(const RoundTraceEvent& event) {
-  ++rounds_;
-  max_weight_ = std::max(max_weight_, event.broadcast_weight);
-}
-
-void CountingTrace::on_delivery(const DeliveryTraceEvent& /*event*/) {
-  ++deliveries_;
-}
-
 }  // namespace wsync

@@ -144,22 +144,6 @@ class MemoryTrace final : public TraceSink {
   std::vector<Activation> crashes_;
 };
 
-/// O(1)-memory aggregate counters; for long benchmark runs.
-class CountingTrace final : public TraceSink {
- public:
-  void on_round(const RoundTraceEvent& event) override;
-  void on_delivery(const DeliveryTraceEvent& event) override;
-
-  int64_t rounds() const { return rounds_; }
-  int64_t deliveries() const { return deliveries_; }
-  double max_broadcast_weight() const { return max_weight_; }
-
- private:
-  int64_t rounds_ = 0;
-  int64_t deliveries_ = 0;
-  double max_weight_ = 0.0;
-};
-
 }  // namespace wsync
 
 #endif  // WSYNC_RADIO_TRACE_H_

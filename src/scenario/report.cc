@@ -50,24 +50,12 @@ void fill_point_cells(Table& table, const ExperimentPoint& p,
       .cell(r.resync_count);
 }
 
-}  // namespace
-
-namespace {
-
 /// The catalog-wide CSV schema ("scenario" + result_columns()).
 std::vector<std::string> csv_columns() {
   std::vector<std::string> columns = {"scenario"};
   columns.insert(columns.end(), result_columns().begin(),
                  result_columns().end());
   return columns;
-}
-
-/// Renders `table` as CSV without its header line.
-std::string csv_rows_only(const Table& table) {
-  const std::string document = table.csv();
-  const size_t newline = document.find('\n');
-  return newline == std::string::npos ? std::string()
-                                      : document.substr(newline + 1);
 }
 
 }  // namespace
@@ -77,7 +65,8 @@ std::string csv_point_row(const Scenario& scenario, size_t point_index,
   Table table(csv_columns());
   table.row().cell(scenario.name);
   fill_point_cells(table, scenario.grid[point_index], result);
-  std::string row = csv_rows_only(table);
+  const std::string document = table.csv();  // header line, then the row
+  std::string row = document.substr(document.find('\n') + 1);
   if (!row.empty() && row.back() == '\n') row.pop_back();
   return row;
 }
@@ -89,12 +78,9 @@ StreamingCsvWriter::StreamingCsvWriter(std::ostream& out) : out_(out) {
 
 void StreamingCsvWriter::add(const Scenario& scenario,
                              const std::vector<PointResult>& results) {
-  Table table(csv_columns());
   for (size_t i = 0; i < results.size(); ++i) {
-    table.row().cell(scenario.name);
-    fill_point_cells(table, scenario.grid[i], results[i]);
+    out_ << csv_point_row(scenario, i, results[i]) << '\n';
   }
-  out_ << csv_rows_only(table);
 }
 
 StreamingJsonWriter::StreamingJsonWriter(std::ostream& out) : out_(out) {
@@ -136,16 +122,6 @@ Table results_table(const Scenario& scenario,
     fill_point_cells(table, scenario.grid[i], results[i]);
   }
   return table;
-}
-
-CsvReport::CsvReport() : table_(csv_columns()) {}
-
-void CsvReport::add(const Scenario& scenario,
-                    const std::vector<PointResult>& results) {
-  for (size_t i = 0; i < results.size(); ++i) {
-    table_.row().cell(scenario.name);
-    fill_point_cells(table_, scenario.grid[i], results[i]);
-  }
 }
 
 }  // namespace wsync

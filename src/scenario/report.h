@@ -39,9 +39,8 @@ std::string csv_point_row(const Scenario& scenario, size_t point_index,
 // an already-open stream as scenarios complete, and are the single source
 // of the export formats: the one-shot, resumed, and served paths all drive
 // the same writer sequence, which is what makes their outputs
-// byte-identical (the contract tests/service/ pins). Rows are rendered per
-// scenario through the same Table code as the one-shot reports, so the
-// bytes cannot drift.
+// byte-identical (the contract tests/service/ pins). CSV rows are
+// csv_point_row(), so the served `point` lines and the export cannot drift.
 
 /// Catalog-wide CSV, header written on construction.
 class StreamingCsvWriter {
@@ -75,23 +74,6 @@ class StreamingJsonWriter {
   std::ostream& out_;
   size_t scenarios_ = 0;
   bool finished_ = false;
-};
-
-/// Accumulates every selected scenario's rows into one catalog-wide CSV
-/// ("scenario" prepended to result_columns()). A convenience buffer over
-/// StreamingCsvWriter for tests and in-memory consumers.
-class CsvReport {
- public:
-  CsvReport();
-
-  /// Appends one row per grid point of `scenario`.
-  void add(const Scenario& scenario, const std::vector<PointResult>& results);
-
-  /// The full CSV document (header line always present).
-  std::string str() const { return table_.csv(); }
-
- private:
-  Table table_;
 };
 
 }  // namespace wsync

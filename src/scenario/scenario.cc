@@ -145,20 +145,4 @@ std::vector<std::string> check_expectations(
   return failures;
 }
 
-ScenarioResult run_scenario(const Scenario& scenario, int seeds,
-                            ThreadPool& pool) {
-  validate(scenario);
-  const int seeds_per_point = seeds > 0 ? seeds : scenario.default_seeds;
-  ScenarioResult result;
-  result.points = run_points_parallel(scenario.grid, seeds_per_point, pool);
-  result.failures = check_expectations(scenario, result.points);
-  return result;
-}
-
-ScenarioResult run_scenario(const Scenario& scenario, int seeds,
-                            int workers) {
-  ThreadPool pool(workers);
-  return run_scenario(scenario, seeds, pool);
-}
-
 }  // namespace wsync

@@ -1,9 +1,11 @@
 #include "src/service/checkpoint.h"
 
 #include <bit>
-#include <cstdio>
+#include <charconv>
 #include <iterator>
-#include <sstream>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/stats/summary.h"
@@ -12,92 +14,110 @@ namespace wsync {
 
 namespace {
 
-// v3 appended the seven deterministic/engine run-metric sums to every chunk
-// line; a v2 file no longer round-trips and is rejected by the header check.
-constexpr char kHeaderPrefix[] = "wsync-checkpoint v3 fingerprint ";
+constexpr char kMagic[] = "wsync-checkpoint";
+
+void append_hex64(std::string& out, uint64_t value) {
+  char buffer[16];
+  for (int i = 15; i >= 0; --i) {
+    buffer[i] = "0123456789abcdef"[value & 0xf];
+    value >>= 4;
+  }
+  out.append(buffer, sizeof(buffer));
+}
 
 std::string hex64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
+  std::string out;
+  append_hex64(out, value);
+  return out;
 }
 
-bool parse_hex64(const std::string& token, uint64_t* out) {
-  if (token.size() != 16) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    int digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = value << 4 | static_cast<uint64_t>(digit);
+bool parse_hex64(std::string_view token, uint64_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, *out, 16);
+  return token.size() == 16 && error == std::errc() && stop == end;
+}
+
+/// Appends one serialised value, space-first: integers in decimal, doubles
+/// as their IEEE bit pattern, summaries as count then kSummaryDoubles.
+template <typename Value>
+void put(std::string& line, const Value& value) {
+  if constexpr (std::is_same_v<Value, Summary>) {
+    put(line, value.count);
+    for (const auto member : kSummaryDoubles) put(line, value.*member);
+  } else if constexpr (std::is_same_v<Value, double>) {
+    line += ' ';
+    append_hex64(line, std::bit_cast<uint64_t>(value));
+  } else {
+    char buffer[24];
+    buffer[0] = ' ';
+    const auto end =
+        std::to_chars(buffer + 1, buffer + sizeof(buffer), value).ptr;
+    line.append(buffer, end);
   }
-  *out = value;
-  return true;
 }
 
-std::string double_bits(double value) {
-  return hex64(std::bit_cast<uint64_t>(value));
-}
-
-bool parse_double_bits(const std::string& token, double* out) {
-  uint64_t bits = 0;
-  if (!parse_hex64(token, &bits)) return false;
-  *out = std::bit_cast<double>(bits);
-  return true;
-}
-
-void encode_summary(std::ostringstream& os, const Summary& s) {
-  os << ' ' << s.count << ' ' << double_bits(s.mean) << ' '
-     << double_bits(s.stddev) << ' ' << double_bits(s.min) << ' '
-     << double_bits(s.max) << ' ' << double_bits(s.p50) << ' '
-     << double_bits(s.p90) << ' ' << double_bits(s.p99);
-}
-
-/// Sequential token reader over one whitespace-split line.
+/// Sequential reader over the single-space-separated tokens of one line.
 class TokenReader {
  public:
-  explicit TokenReader(const std::string& text) : in_(text) {}
+  explicit TokenReader(std::string_view text) : rest_(text) {}
 
-  bool next(std::string* token) { return static_cast<bool>(in_ >> *token); }
-
-  template <typename Int>
-  bool next_int(Int* out) {
-    long long value = 0;
-    if (!(in_ >> value)) return false;
-    *out = static_cast<Int>(value);
-    return static_cast<long long>(*out) == value;
+  bool next(std::string_view* token) {
+    const size_t space = rest_.find(' ');
+    *token = rest_.substr(0, space);
+    rest_ = space == std::string_view::npos ? std::string_view()
+                                            : rest_.substr(space + 1);
+    return !token->empty();
   }
 
-  bool next_double_bits(double* out) {
-    std::string token;
-    return next(&token) && parse_double_bits(token, out);
+  /// One value of a PointResult field; kCount integers must not be
+  /// negative (unsigned ones already reject a sign).
+  template <typename Value>
+  bool read(Value* out, Codec codec) {
+    if constexpr (std::is_same_v<Value, Summary>) {
+      bool ok = read(&out->count, Codec::kCount);
+      for (const auto member : kSummaryDoubles) {
+        ok = ok && read(&(out->*member), Codec::kDouble);
+      }
+      return ok;
+    } else {
+      std::string_view token;
+      if (!next(&token)) return false;
+      if constexpr (std::is_same_v<Value, double>) {
+        uint64_t bits = 0;
+        if (!parse_hex64(token, &bits)) return false;
+        *out = std::bit_cast<double>(bits);
+        return true;
+      } else {
+        const char* end = token.data() + token.size();
+        const auto [stop, error] = std::from_chars(token.data(), end, *out);
+        if constexpr (std::is_signed_v<Value>) {
+          if (codec == Codec::kCount && *out < 0) return false;
+        }
+        return error == std::errc() && stop == end;
+      }
+    }
   }
 
-  bool next_summary(Summary* s) {
-    return next_int(&s->count) && next_double_bits(&s->mean) &&
-           next_double_bits(&s->stddev) && next_double_bits(&s->min) &&
-           next_double_bits(&s->max) && next_double_bits(&s->p50) &&
-           next_double_bits(&s->p90) && next_double_bits(&s->p99);
-  }
-
-  bool at_end() {
-    std::string extra;
-    return !(in_ >> extra);
-  }
+  bool at_end() const { return rest_.empty(); }
 
  private:
-  std::istringstream in_;
+  std::string_view rest_;
 };
 
 }  // namespace
 
-uint64_t fnv1a64(const std::string& text, uint64_t seed) {
+std::string checkpoint_format() {
+  // The names and codecs of the fields a chunk line carries, hashed.
+  std::string fields;
+  for_each_field(kResultFields, [&](const auto& field) {
+    if (field.codec == Codec::kSkip) return;
+    fields += std::string(field.name) + ':' +
+              std::to_string(static_cast<int>(field.codec)) + ' ';
+  });
+  return "fields-" + hex64(fnv1a64(fields)).substr(8);
+}
+
+uint64_t fnv1a64(std::string_view text, uint64_t seed) {
   uint64_t hash = seed;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
@@ -108,27 +128,16 @@ uint64_t fnv1a64(const std::string& text, uint64_t seed) {
 
 std::string encode_chunk_line(const std::string& scenario,
                               size_t point_index, const PointResult& r) {
-  std::ostringstream os;
-  os << "chunk " << scenario << ' ' << point_index << ' ' << r.runs << ' '
-     << r.synced_runs << ' ' << r.timeout_runs << ' '
-     << r.agreement_violations << ' ' << r.commit_violations << ' '
-     << r.correctness_violations << ' ' << r.max_leaders << ' '
-     << r.multi_leader_runs << ' ' << r.energy_budget_violations << ' '
-     << r.broadcast_rounds << ' ' << r.listen_rounds << ' '
-     << r.sleep_rounds << ' ' << r.offset_violations << ' '
-     << r.resync_count << ' ' << r.rounds_simulated << ' '
-     << r.deliveries << ' ' << r.collisions << ' ' << r.absences << ' '
-     << r.knockouts << ' ' << r.wake_events_popped << ' '
-     << r.fast_forwarded_rounds << ' '
-     << double_bits(r.max_broadcast_weight);
-  encode_summary(os, r.rounds_to_live);
-  encode_summary(os, r.max_node_latency);
-  encode_summary(os, r.max_awake_rounds);
-  encode_summary(os, r.mean_awake_rounds);
-  encode_summary(os, r.awake_fraction);
-  encode_summary(os, r.max_offset);
-  std::string line = os.str();
-  line += " #" + hex64(fnv1a64(line));
+  std::string line;
+  line.reserve(512);
+  line += "chunk ";
+  line += scenario;
+  put(line, point_index);
+  for_each_coded(kResultFields, r,
+                 [&](const auto&, const auto& value) { put(line, value); });
+  const uint64_t checksum = fnv1a64(line);
+  line += " #";
+  append_hex64(line, checksum);
   return line;
 }
 
@@ -136,46 +145,24 @@ std::string decode_chunk_line(const std::string& line, std::string* scenario,
                               size_t* point_index, PointResult* result) {
   const size_t marker = line.rfind(" #");
   if (marker == std::string::npos) return "missing checksum";
+  const std::string_view payload = std::string_view(line).substr(0, marker);
   uint64_t checksum = 0;
-  if (!parse_hex64(line.substr(marker + 2), &checksum)) {
+  if (!parse_hex64(std::string_view(line).substr(marker + 2), &checksum)) {
     return "malformed checksum";
   }
-  if (checksum != fnv1a64(line.substr(0, marker))) {
-    return "checksum mismatch";
-  }
+  if (checksum != fnv1a64(payload)) return "checksum mismatch";
 
-  TokenReader reader(line.substr(0, marker));
-  std::string tag;
-  if (!reader.next(&tag) || tag != "chunk") return "not a chunk line";
+  TokenReader reader(payload);
+  std::string_view token;
+  if (!reader.next(&token) || token != "chunk") return "not a chunk line";
+  std::string_view name;
   PointResult r;
-  if (!(reader.next(scenario) && reader.next_int(point_index) &&
-        reader.next_int(&r.runs) && reader.next_int(&r.synced_runs) &&
-        reader.next_int(&r.timeout_runs) &&
-        reader.next_int(&r.agreement_violations) &&
-        reader.next_int(&r.commit_violations) &&
-        reader.next_int(&r.correctness_violations) &&
-        reader.next_int(&r.max_leaders) &&
-        reader.next_int(&r.multi_leader_runs) &&
-        reader.next_int(&r.energy_budget_violations) &&
-        reader.next_int(&r.broadcast_rounds) &&
-        reader.next_int(&r.listen_rounds) &&
-        reader.next_int(&r.sleep_rounds) &&
-        reader.next_int(&r.offset_violations) &&
-        reader.next_int(&r.resync_count) &&
-        reader.next_int(&r.rounds_simulated) &&
-        reader.next_int(&r.deliveries) && reader.next_int(&r.collisions) &&
-        reader.next_int(&r.absences) && reader.next_int(&r.knockouts) &&
-        reader.next_int(&r.wake_events_popped) &&
-        reader.next_int(&r.fast_forwarded_rounds) &&
-        reader.next_double_bits(&r.max_broadcast_weight) &&
-        reader.next_summary(&r.rounds_to_live) &&
-        reader.next_summary(&r.max_node_latency) &&
-        reader.next_summary(&r.max_awake_rounds) &&
-        reader.next_summary(&r.mean_awake_rounds) &&
-        reader.next_summary(&r.awake_fraction) &&
-        reader.next_summary(&r.max_offset) && reader.at_end())) {
-    return "malformed chunk fields";
-  }
+  bool ok = reader.next(&name) && reader.read(point_index, Codec::kCount);
+  for_each_coded(kResultFields, r, [&](const auto& field, auto& value) {
+    ok = ok && reader.read(&value, field.codec);
+  });
+  if (!ok || !reader.at_end()) return "malformed chunk fields";
+  scenario->assign(name);
   *result = r;
   return "";
 }
@@ -214,13 +201,27 @@ CheckpointLoad load_checkpoint(const std::string& path,
     load.error = "checkpoint has no complete header line";
     return load;
   }
-  const std::string& header = lines[0];
-  const size_t prefix_len = sizeof(kHeaderPrefix) - 1;
+  // Header: "<magic> <format> fingerprint <16-hex>".
+  const std::string format = checkpoint_format();
+  TokenReader header(lines[0]);
+  std::string_view magic;
+  std::string_view file_format;
+  std::string_view keyword;
+  std::string_view hex;
   uint64_t file_fingerprint = 0;
-  if (header.compare(0, prefix_len, kHeaderPrefix) != 0 ||
-      !parse_hex64(header.substr(prefix_len), &file_fingerprint)) {
-    reject(1, "malformed header (want '" + std::string(kHeaderPrefix) +
-                  "<16-hex>')");
+  if (!header.next(&magic) || magic != kMagic || !header.next(&file_format) ||
+      !header.next(&keyword) || keyword != "fingerprint" ||
+      !header.next(&hex) || !parse_hex64(hex, &file_fingerprint) ||
+      !header.at_end()) {
+    reject(1, "malformed header (want '" + std::string(kMagic) + " " +
+                  format + " fingerprint <16-hex>')");
+    return load;
+  }
+  if (file_format != format) {
+    reject(1, "format '" + std::string(file_format) +
+                  "' is not this build's checkpoint format '" + format +
+                  "' (its chunk lines carry a different field list); "
+                  "rerun without --resume");
     return load;
   }
   if (file_fingerprint != fingerprint) {
@@ -257,7 +258,8 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
     : out_(path, resume ? std::ios::binary | std::ios::app
                         : std::ios::binary | std::ios::trunc) {
   if (out_ && !resume) {
-    out_ << kHeaderPrefix << hex64(fingerprint) << '\n';
+    out_ << kMagic << ' ' << checkpoint_format() << " fingerprint "
+         << hex64(fingerprint) << '\n';
     out_.flush();
   }
 }

@@ -160,6 +160,9 @@ OrderedChunkQueue::Stats OrderedChunkQueue::run(
     }
     ++stats.chunks;
   }
+  // Quiesce: the last task has signalled its chunk, but its worker may not
+  // have retired it from the pool yet, and callers read pool.stats() next.
+  pool.wait_idle();
   return stats;
 }
 

@@ -51,6 +51,9 @@ class OrderedChunkQueue {
   /// on_chunk — incomplete results cannot leak into a consumer (or a
   /// checkpoint). An exception from on_chunk or tasks_in_chunk likewise
   /// drains before propagating, so no worker can touch freed state.
+  ///
+  /// Returns only after pool.wait_idle(), so the pool's counters are exact
+  /// when the caller reads them; never call it from a pool worker.
   static Stats run(ThreadPool& pool, size_t chunk_count,
                    const std::function<size_t(size_t)>& tasks_in_chunk,
                    const std::function<void(size_t, size_t)>& run_task,

@@ -1,6 +1,7 @@
 #include "src/service/run_metrics.h"
 
 #include <sstream>
+#include <type_traits>
 
 #include "src/common/require.h"
 #include "src/stats/table.h"
@@ -11,33 +12,19 @@ namespace {
 
 using telemetry::MetricClass;
 
-void write_chunk_deterministic(std::ostream& out,
-                               const ChunkMetricsBlock& block,
-                               const std::string& indent) {
-  out << indent << "{\"scenario\": " << json_escaped(block.scenario)
-      << ", \"chunk_index\": " << block.chunk_index
-      << ", \"point_index\": " << block.point_index
-      << ", \"runs\": " << block.runs
-      << ", \"synced_runs\": " << block.synced_runs
-      << ", \"timeout_runs\": " << block.timeout_runs
-      << ", \"rounds_simulated\": " << block.rounds_simulated
-      << ", \"deliveries\": " << block.deliveries
-      << ", \"collisions\": " << block.collisions
-      << ", \"absences\": " << block.absences
-      << ", \"knockouts\": " << block.knockouts
-      << ", \"resync_corrections\": " << block.resync_corrections
-      << ", \"broadcast_rounds\": " << block.broadcast_rounds
-      << ", \"listen_rounds\": " << block.listen_rounds
-      << ", \"sleep_rounds\": " << block.sleep_rounds << "}";
-}
-
-void write_chunk_engine(std::ostream& out, const ChunkMetricsBlock& block,
-                        const std::string& indent) {
-  out << indent << "{\"scenario\": " << json_escaped(block.scenario)
-      << ", \"chunk_index\": " << block.chunk_index
-      << ", \"wake_events_popped\": " << block.wake_events_popped
-      << ", \"fast_forwarded_rounds\": " << block.fast_forwarded_rounds
-      << "}";
+/// One walled section: the class's registry totals, then its chunk blocks.
+std::string section_json(const telemetry::MetricsRegistry& registry,
+                         MetricClass cls,
+                         const std::vector<std::string>& chunks) {
+  std::ostringstream os;
+  os << "{\n  \"totals\": ";
+  registry.write_class_json(os, cls, "  ");
+  os << ",\n  \"chunks\": [";
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    os << (i == 0 ? "\n    " : ",\n    ") << chunks[i];
+  }
+  os << (chunks.empty() ? "" : "\n  ") << "]\n}";
+  return os.str();
 }
 
 }  // namespace
@@ -50,72 +37,40 @@ RunMetricsCollector::RunMetricsCollector(telemetry::MetricsRegistry* registry)
 void RunMetricsCollector::add_chunk(const std::string& scenario,
                                     size_t point_index,
                                     const PointResult& result) {
-  ChunkMetricsBlock block;
-  block.scenario = scenario;
-  block.chunk_index = static_cast<int64_t>(chunks_.size());
-  block.point_index = static_cast<int64_t>(point_index);
-  block.runs = result.runs;
-  block.synced_runs = result.synced_runs;
-  block.timeout_runs = result.timeout_runs;
-  block.rounds_simulated = result.rounds_simulated;
-  block.deliveries = result.deliveries;
-  block.collisions = result.collisions;
-  block.absences = result.absences;
-  block.knockouts = result.knockouts;
-  block.resync_corrections = result.resync_count;
-  block.broadcast_rounds = result.broadcast_rounds;
-  block.listen_rounds = result.listen_rounds;
-  block.sleep_rounds = result.sleep_rounds;
-  block.wake_events_popped = result.wake_events_popped;
-  block.fast_forwarded_rounds = result.fast_forwarded_rounds;
-  chunks_.push_back(block);
-
-  auto& r = *registry_;
-  const auto det = MetricClass::kDeterministic;
-  r.counter("chunks_total", det).add(1);
-  r.counter("runs_total", det).add(block.runs);
-  r.counter("synced_runs_total", det).add(block.synced_runs);
-  r.counter("timeout_runs_total", det).add(block.timeout_runs);
-  r.counter("rounds_simulated_total", det).add(block.rounds_simulated);
-  r.counter("deliveries_total", det).add(block.deliveries);
-  r.counter("collisions_total", det).add(block.collisions);
-  r.counter("absences_total", det).add(block.absences);
-  r.counter("knockouts_total", det).add(block.knockouts);
-  r.counter("resync_corrections_total", det).add(block.resync_corrections);
-  r.counter("broadcast_rounds_total", det).add(block.broadcast_rounds);
-  r.counter("listen_rounds_total", det).add(block.listen_rounds);
-  r.counter("sleep_rounds_total", det).add(block.sleep_rounds);
-
-  const auto eng = MetricClass::kEngineDependent;
-  r.counter("wake_events_popped_total", eng).add(block.wake_events_popped);
-  r.counter("fast_forwarded_rounds_total", eng)
-      .add(block.fast_forwarded_rounds);
+  const std::string head = "{\"scenario\": " + json_escaped(scenario) +
+                           ", \"chunk_index\": " +
+                           std::to_string(deterministic_chunks_.size());
+  std::string deterministic =
+      head + ", \"point_index\": " + std::to_string(point_index);
+  std::string engine = head;
+  registry_->counter("chunks_total", MetricClass::kDeterministic).add(1);
+  for_each_field(kResultFields, [&](const auto& field) {
+    using Member = std::remove_cvref_t<decltype(result.*field.member)>;
+    if constexpr (std::is_integral_v<Member>) {
+      if (field.metric.key == nullptr) return;
+      const int64_t value = result.*field.member;
+      std::string& block =
+          field.metric.cls == MetricClass::kDeterministic ? deterministic
+                                                          : engine;
+      block += ", \"" + std::string(field.metric.key) +
+               "\": " + std::to_string(value);
+      registry_->counter(std::string(field.metric.key) + "_total",
+                         field.metric.cls)
+          .add(value);
+    }
+  });
+  deterministic_chunks_.push_back(deterministic + "}");
+  engine_chunks_.push_back(engine + "}");
 }
 
 std::string RunMetricsCollector::deterministic_json() const {
-  std::ostringstream os;
-  os << "{\n  \"totals\": ";
-  registry_->write_class_json(os, MetricClass::kDeterministic, "  ");
-  os << ",\n  \"chunks\": [";
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_chunk_deterministic(os, chunks_[i], "    ");
-  }
-  os << (chunks_.empty() ? "" : "\n  ") << "]\n}";
-  return os.str();
+  return section_json(*registry_, MetricClass::kDeterministic,
+                      deterministic_chunks_);
 }
 
 std::string RunMetricsCollector::engine_json() const {
-  std::ostringstream os;
-  os << "{\n  \"totals\": ";
-  registry_->write_class_json(os, MetricClass::kEngineDependent, "  ");
-  os << ",\n  \"chunks\": [";
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_chunk_engine(os, chunks_[i], "    ");
-  }
-  os << (chunks_.empty() ? "" : "\n  ") << "]\n}";
-  return os.str();
+  return section_json(*registry_, MetricClass::kEngineDependent,
+                      engine_chunks_);
 }
 
 void RunMetricsCollector::write_json(std::ostream& out) const {

@@ -1,7 +1,8 @@
 // Deterministic per-chunk run metrics for the streaming sweep.
 //
-// Every deterministic metric here is derived purely from PointResult fields
-// at chunk-delivery time (caller thread, catalog order). PointResults
+// Every metric here is a PointResult field with a Metric entry in
+// kResultFields (src/experiment/sweep.h), read at chunk-delivery time
+// (caller thread, catalog order). PointResults
 // round-trip the checkpoint codec bit-exactly, so a resumed run replays the
 // same chunk blocks and totals as the one-shot run — metrics accumulation
 // is checkpoint-safe by construction, with no extra state to persist.
@@ -26,31 +27,6 @@
 
 namespace wsync {
 
-/// Deterministic metrics of one delivered chunk (in the streaming sweep a
-/// chunk is one (scenario, point) aggregate; chunk_index is the global
-/// delivery sequence number, which is itself deterministic: chunks are
-/// delivered in catalog order regardless of worker count).
-struct ChunkMetricsBlock {
-  std::string scenario;
-  int64_t chunk_index = 0;
-  int64_t point_index = 0;
-  int64_t runs = 0;
-  int64_t synced_runs = 0;
-  int64_t timeout_runs = 0;
-  int64_t rounds_simulated = 0;
-  int64_t deliveries = 0;
-  int64_t collisions = 0;
-  int64_t absences = 0;
-  int64_t knockouts = 0;
-  int64_t resync_corrections = 0;
-  int64_t broadcast_rounds = 0;
-  int64_t listen_rounds = 0;
-  int64_t sleep_rounds = 0;
-  // --- engine-dependent (exported under the "engine" section) -------------
-  int64_t wake_events_popped = 0;
-  int64_t fast_forwarded_rounds = 0;
-};
-
 /// Folds delivered chunks into per-chunk blocks plus registry totals, and
 /// renders the metrics document. Externally synchronized (all calls happen
 /// on the sweep's delivery thread).
@@ -60,13 +36,13 @@ class RunMetricsCollector {
   /// the caller (stage stopwatches, pool stats) are exported alongside.
   explicit RunMetricsCollector(telemetry::MetricsRegistry* registry);
 
-  /// Derives one block from a delivered chunk and adds it to the totals.
+  /// Renders one delivered chunk's blocks from the Metric entries of
+  /// kResultFields (each column also adds into its `<key>_total` counter).
   /// Call for computed AND checkpoint-replayed chunks alike: a resumed
   /// sweep then accumulates exactly the one-shot run's blocks.
   void add_chunk(const std::string& scenario, size_t point_index,
                  const PointResult& result);
 
-  const std::vector<ChunkMetricsBlock>& chunks() const { return chunks_; }
   telemetry::MetricsRegistry& registry() { return *registry_; }
 
   /// The engine- and worker-invariant block alone (totals + chunks):
@@ -82,7 +58,10 @@ class RunMetricsCollector {
 
  private:
   telemetry::MetricsRegistry* registry_;  // not owned
-  std::vector<ChunkMetricsBlock> chunks_;
+  /// Rendered per-chunk JSON objects of the two walled sections, in
+  /// delivery order (the chunk index is the position).
+  std::vector<std::string> deterministic_chunks_;
+  std::vector<std::string> engine_chunks_;
 };
 
 }  // namespace wsync

@@ -5,9 +5,9 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
-#include "src/experiment/parallel_sweep.h"
 #include "src/service/job_queue.h"
 #include "src/sync/runner.h"
 #include "src/telemetry/stopwatch.h"
@@ -53,6 +53,18 @@ void mix_string(uint64_t* hash, const std::string& text) {
   *hash = fnv1a64(text, *hash);
 }
 
+/// Keeps the one scenario's results for run_points.
+class CollectingSink final : public ChunkSink {
+ public:
+  void on_scenario_end(size_t, const PlannedScenario&,
+                       const std::vector<PointResult>& scenario_results,
+                       const std::vector<std::string>&) override {
+    results = scenario_results;
+  }
+
+  std::vector<PointResult> results;
+};
+
 }  // namespace
 
 size_t SweepPlan::chunk_count() const {
@@ -79,7 +91,9 @@ SweepPlan make_plan(const std::vector<const Scenario*>& selected,
 }
 
 uint64_t plan_fingerprint(const SweepPlan& plan) {
-  // v2: the drift/maintenance point fields joined the mix.
+  // v2: the drift/maintenance point fields joined the mix. Point fields
+  // go in kPointFields order: integers and enums as 64 bits, crash waves
+  // as their count, then (round, count) per wave.
   uint64_t hash = fnv1a64("wsync-sweep-plan-v2");
   mix(&hash, plan.scenarios.size());
   for (const PlannedScenario& planned : plan.scenarios) {
@@ -88,32 +102,18 @@ uint64_t plan_fingerprint(const SweepPlan& plan) {
     mix(&hash, static_cast<uint64_t>(planned.seeds));
     mix(&hash, s.grid.size());
     for (const ExperimentPoint& p : s.grid) {
-      mix(&hash, static_cast<uint64_t>(p.F));
-      mix(&hash, static_cast<uint64_t>(p.t));
-      mix(&hash, static_cast<uint64_t>(p.N));
-      mix(&hash, static_cast<uint64_t>(p.n));
-      mix(&hash, static_cast<uint64_t>(p.protocol));
-      mix(&hash, static_cast<uint64_t>(p.adversary));
-      mix(&hash, static_cast<uint64_t>(p.activation));
-      mix(&hash, static_cast<uint64_t>(p.jam_count));
-      mix(&hash, static_cast<uint64_t>(p.activation_window));
-      mix(&hash, static_cast<uint64_t>(p.max_rounds));
-      mix(&hash, static_cast<uint64_t>(p.extra_rounds));
-      mix(&hash, static_cast<uint64_t>(p.duty_period));
-      mix(&hash, static_cast<uint64_t>(p.duty_on));
-      mix(&hash, static_cast<uint64_t>(p.whitespace_available));
-      mix(&hash, static_cast<uint64_t>(p.whitespace_shared));
-      mix(&hash, static_cast<uint64_t>(p.energy_budget));
-      mix(&hash, static_cast<uint64_t>(p.drift_ppm));
-      mix(&hash, static_cast<uint64_t>(p.maintenance_rounds));
-      mix(&hash, static_cast<uint64_t>(p.offset_bound));
-      mix(&hash, static_cast<uint64_t>(p.resync_awake_slots));
-      mix(&hash, p.crash_waves.size());
-      for (const CrashWave& wave : p.crash_waves) {
-        mix(&hash, static_cast<uint64_t>(wave.round));
-        mix(&hash, static_cast<uint64_t>(wave.count));
-      }
-      // p.engine deliberately unmixed: dense/sparse are bit-identical.
+      for_each_coded(kPointFields, p, [&](const auto&, const auto& value) {
+        using Value = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_same_v<Value, std::vector<CrashWave>>) {
+          mix(&hash, value.size());
+          for (const CrashWave& wave : value) {
+            mix(&hash, static_cast<uint64_t>(wave.round));
+            mix(&hash, static_cast<uint64_t>(wave.count));
+          }
+        } else {
+          mix(&hash, static_cast<uint64_t>(value));
+        }
+      });
     }
   }
   return hash;
@@ -258,6 +258,17 @@ SweepOutcome run_streaming_sweep(const SweepPlan& plan, ThreadPool& pool,
   OrderedChunkQueue::run(pool, map.total, tasks_in_chunk, run_task, on_chunk,
                          window);
   return outcome;
+}
+
+std::vector<PointResult> run_points(const std::vector<ExperimentPoint>& points,
+                                    int seeds_per_point, ThreadPool& pool) {
+  if (points.empty()) return {};
+  PlannedScenario planned{Scenario{}, seeds_per_point};
+  planned.scenario.name = "run_points";
+  planned.scenario.grid = points;
+  CollectingSink sink;
+  run_streaming_sweep(SweepPlan{{planned}}, pool, {}, sink);
+  return std::move(sink.results);
 }
 
 }  // namespace wsync

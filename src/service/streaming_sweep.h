@@ -53,32 +53,34 @@ SweepPlan make_plan(const std::vector<const Scenario*>& selected,
                     int seeds_override);
 
 /// Fingerprint binding a checkpoint to this plan: scenario names, seed
-/// counts, and every result-affecting point parameter. Deliberately
-/// excludes the engine mode (dense/sparse are bit-identical by contract)
-/// and anything about workers or windows — a checkpoint taken at
-/// --workers 1 --engine dense resumes under --workers 8 --engine sparse.
+/// counts, and every kPointFields entry not marked kSkip. That leaves out
+/// the engine mode (dense/sparse are bit-identical by contract) and
+/// anything about workers or windows — a checkpoint taken at --workers 1
+/// --engine dense resumes under --workers 8 --engine sparse.
 uint64_t plan_fingerprint(const SweepPlan& plan);
 
 /// Streaming consumer. Callbacks arrive on the caller thread, in catalog
-/// order: begin(s), chunk(s, 0..), end(s), begin(s+1), ...
+/// order: begin(s), chunk(s, 0..), end(s), begin(s+1), ... Each defaults to
+/// a no-op, so a sink overrides only what it consumes.
 class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
 
-  virtual void on_scenario_begin(size_t scenario_index,
-                                 const PlannedScenario& planned) = 0;
+  virtual void on_scenario_begin(size_t /*scenario_index*/,
+                                 const PlannedScenario& /*planned*/) {}
 
   /// One completed chunk; `from_checkpoint` marks replayed (not
   /// recomputed) results.
-  virtual void on_chunk(size_t scenario_index, size_t point_index,
-                        const PointResult& result, bool from_checkpoint) = 0;
+  virtual void on_chunk(size_t /*scenario_index*/, size_t /*point_index*/,
+                        const PointResult& /*result*/,
+                        bool /*from_checkpoint*/) {}
 
   /// After the scenario's last chunk: its full result row set (small — one
   /// aggregate per point) and the unmet expectations.
-  virtual void on_scenario_end(size_t scenario_index,
-                               const PlannedScenario& planned,
-                               const std::vector<PointResult>& results,
-                               const std::vector<std::string>& failures) = 0;
+  virtual void on_scenario_end(
+      size_t /*scenario_index*/, const PlannedScenario& /*planned*/,
+      const std::vector<PointResult>& /*results*/,
+      const std::vector<std::string>& /*failures*/) {}
 };
 
 struct StreamingSweepOptions {
@@ -112,10 +114,18 @@ struct SweepOutcome {
 
 /// Runs the plan. Throws std::runtime_error when resume data names a chunk
 /// the plan does not contain (a checkpoint/plan mismatch the fingerprint
-/// should have caught), or when a task fails.
+/// should have caught), or when a task fails. Returns with the pool idle,
+/// so pool.stats() is exact.
 SweepOutcome run_streaming_sweep(const SweepPlan& plan, ThreadPool& pool,
                                  const StreamingSweepOptions& options,
                                  ChunkSink& sink);
+
+/// The adapter for benches and tests: `points` as one unvalidated scenario
+/// at make_seeds(seeds_per_point), through run_streaming_sweep on `pool`.
+/// Results match `points` index for index, bit-identical at any worker
+/// count to the serial run_sync_experiment + aggregate_point loop.
+std::vector<PointResult> run_points(const std::vector<ExperimentPoint>& points,
+                                    int seeds_per_point, ThreadPool& pool);
 
 }  // namespace wsync
 

@@ -101,42 +101,4 @@ RunOutcome run_sync_experiment(const RunSpec& spec) {
   return outcome;
 }
 
-std::vector<RunOutcome> run_sync_experiments(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds) {
-  std::vector<RunOutcome> outcomes;
-  outcomes.reserve(seeds.size());
-  RunSpec seeded = spec;
-  for (uint64_t seed : seeds) {
-    seeded.sim.seed = seed;
-    // Only the first replicate is traced (see RunSpec::trace).
-    seeded.trace = outcomes.empty() ? spec.trace : nullptr;
-    outcomes.push_back(run_sync_experiment(seeded));
-  }
-  return outcomes;
-}
-
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds,
-    ThreadPool& pool) {
-  std::vector<RunOutcome> outcomes(seeds.size());
-  parallel_for(pool, seeds.size(), [&](size_t i) {
-    // Copy the spec per task: the producers are std::functions whose copies
-    // share no mutable state, and each Simulation owns its forked Rngs.
-    RunSpec seeded = spec;
-    seeded.sim.seed = seeds[i];
-    // Only the first replicate is traced (see RunSpec::trace), so a single
-    // task owns the sink and tracing stays race-free under the pool.
-    if (i != 0) seeded.trace = nullptr;
-    outcomes[i] = run_sync_experiment(seeded);
-  });
-  return outcomes;
-}
-
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds, int workers) {
-  if (seeds.empty()) return {};
-  ThreadPool pool(workers);
-  return run_sync_experiments_parallel(spec, seeds, pool);
-}
-
 }  // namespace wsync

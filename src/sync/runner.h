@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/adversary/adversary.h"
-#include "src/common/thread_pool.h"
 #include "src/protocol/protocol.h"
 #include "src/radio/activation.h"
 #include "src/radio/engine.h"
@@ -89,25 +88,6 @@ struct RunOutcome {
 
 /// Runs one seeded experiment to completion.
 RunOutcome run_sync_experiment(const RunSpec& spec);
-
-/// Runs `spec` once per seed in `seeds` (overriding spec.sim.seed).
-std::vector<RunOutcome> run_sync_experiments(const RunSpec& spec,
-                                             const std::vector<uint64_t>& seeds);
-
-/// Parallel replication: runs `spec` once per seed across `pool`'s workers.
-/// Outcomes come back in seed order and are bit-identical to the serial
-/// path — each run derives all of its randomness from its own seed's forked
-/// Rng streams and shares no state with its siblings, so the thread schedule
-/// cannot influence any run (see the determinism contract in
-/// src/common/thread_pool.h). Spec producers must be stateless or
-/// copy-captured (every producer in this repo is).
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds, ThreadPool& pool);
-
-/// Convenience overload owning a pool for the call; `workers <= 0` means
-/// ThreadPool::default_workers().
-std::vector<RunOutcome> run_sync_experiments_parallel(
-    const RunSpec& spec, const std::vector<uint64_t>& seeds, int workers = 0);
 
 }  // namespace wsync
 

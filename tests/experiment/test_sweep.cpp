@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/point_results.h"
+
 namespace wsync {
 namespace {
 
@@ -62,7 +64,7 @@ TEST(SweepTest, RunPointAggregatesTrapdoorRuns) {
   point.protocol = ProtocolKind::kTrapdoor;
   point.adversary = AdversaryKind::kRandomSubset;
   point.activation = ActivationKind::kSimultaneous;
-  const PointResult result = run_point(point, make_seeds(5));
+  const PointResult result = testing::serial_point(point, 5);
   EXPECT_EQ(result.runs, 5);
   EXPECT_EQ(result.synced_runs, 5);
   EXPECT_EQ(result.agreement_violations, 0);
@@ -87,7 +89,7 @@ TEST(SweepTest, EveryProtocolKindRunsAtSmallScale) {
     point.n = 3;
     point.protocol = kind;
     point.adversary = AdversaryKind::kNone;
-    const PointResult result = run_point(point, make_seeds(2));
+    const PointResult result = testing::serial_point(point, 2);
     EXPECT_EQ(result.synced_runs, 2) << to_string(kind);
   }
 }
@@ -104,7 +106,7 @@ TEST(SweepTest, EveryAdversaryKindRunsAtSmallScale) {
     point.N = 16;
     point.n = 4;
     point.adversary = kind;
-    const PointResult result = run_point(point, make_seeds(2));
+    const PointResult result = testing::serial_point(point, 2);
     EXPECT_EQ(result.synced_runs, 2) << to_string(kind);
     EXPECT_EQ(result.agreement_violations, 0) << to_string(kind);
   }
@@ -123,7 +125,7 @@ TEST(SweepTest, EveryActivationKindRunsAtSmallScale) {
     point.activation = kind;
     point.activation_window = 32;
     point.adversary = AdversaryKind::kRandomSubset;
-    const PointResult result = run_point(point, make_seeds(2));
+    const PointResult result = testing::serial_point(point, 2);
     EXPECT_EQ(result.synced_runs, 2) << to_string(kind);
   }
 }
@@ -158,7 +160,7 @@ TEST(SweepTest, CrashWavesFlowIntoTheRunSpecAndCrashNodes) {
 
   // The wave crashes exactly two nodes; the survivors still synchronize,
   // and the per-node latency slots of the victims stay at -1.
-  const PointResult result = run_point(point, make_seeds(2));
+  const PointResult result = testing::serial_point(point, 2);
   EXPECT_EQ(result.synced_runs, 2);
   EXPECT_EQ(result.commit_violations, 0);
   for (uint64_t seed : make_seeds(2)) {

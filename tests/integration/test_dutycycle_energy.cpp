@@ -9,6 +9,7 @@
 
 #include "src/experiment/sweep.h"
 #include "src/scenario/registry.h"
+#include "tests/testing/point_results.h"
 
 namespace wsync {
 namespace {
@@ -24,9 +25,8 @@ TEST(DutyCycleEnergyTest, FiveFoldAwakeAdvantageOverTrapdoor) {
   ASSERT_EQ(duty_point.N, trapdoor_point.N);
   ASSERT_EQ(duty_point.t, trapdoor_point.t);
 
-  const std::vector<uint64_t> seeds = make_seeds(4);
-  const PointResult duty = run_point(duty_point, seeds);
-  const PointResult trapdoor = run_point(trapdoor_point, seeds);
+  const PointResult duty = testing::serial_point(duty_point, 4);
+  const PointResult trapdoor = testing::serial_point(trapdoor_point, 4);
 
   // Liveness for every activated node, on every seed.
   EXPECT_EQ(duty.synced_runs, duty.runs);

@@ -9,6 +9,7 @@
 
 #include "src/experiment/sweep.h"
 #include "src/trapdoor/schedule.h"
+#include "tests/testing/point_results.h"
 
 namespace wsync {
 namespace {
@@ -44,7 +45,7 @@ TEST_P(TrapdoorPropertyTest, FivePropertiesAndLeaderUniqueness) {
   point.activation_window = 64;
   point.extra_rounds = 200;  // agreement must keep holding after liveness
 
-  const PointResult result = run_point(point, make_seeds(5));
+  const PointResult result = testing::serial_point(point, 5);
 
   // Liveness within the auto budget (a generous multiple of Theorem 10).
   EXPECT_EQ(result.synced_runs, result.runs);
@@ -68,7 +69,7 @@ TEST_P(TrapdoorPropertyTest, LivenessWithinTheoremTenShape) {
   point.activation = g.activation;
   point.activation_window = 64;
 
-  const PointResult result = run_point(point, make_seeds(5));
+  const PointResult result = testing::serial_point(point, 5);
   ASSERT_EQ(result.synced_runs, result.runs);
 
   // The protocol's own schedule is Theta(F/(F-t) lg^2 N + Ft/(F-t) lgN)

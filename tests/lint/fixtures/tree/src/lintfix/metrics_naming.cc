@@ -2,9 +2,11 @@
 // documented in docs/ARCHITECTURE.md (this fixture tree carries its own
 // one documenting only `documented_metric_total`).
 //
-// Expected findings: two metrics-naming violations (the CamelCase name and
-// the undocumented name). The documented registration, the suppressed
-// registration, and the commented-out registration must stay clean.
+// Field-list twins: a Metric{"key"} entry is checked as "key_total".
+//
+// Expected findings: four metrics-naming violations (a CamelCase and an
+// undocumented name, as registry calls and as field-list entries). The
+// documented, suppressed and commented-out ones must stay clean.
 #include <string>
 
 namespace wsync::lintfix {
@@ -12,6 +14,19 @@ namespace wsync::lintfix {
 struct Registry {
   int& counter(const std::string& name);
   double& gauge(const std::string& name);
+};
+
+struct Metric {
+  const char* key;
+};
+
+constexpr Metric kListedMetrics[] = {
+    Metric{"documented_metric"},  // clean: documented_metric_total
+    Metric{"ListedCamel"},        // VIOLATION: CamelCase
+    Metric{"orphan_listed"},      // VIOLATION: orphan_listed_total undocumented
+    // wsync-lint: allow(metrics-naming)
+    Metric{"suppressed_listed"},
+    // Metric{"CommentedOutListed"},  -- comments never flag
 };
 
 void register_metrics(Registry& registry) {

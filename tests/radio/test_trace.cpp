@@ -52,17 +52,6 @@ TEST(MemoryTraceTest, EmptyMaxWeightIsZero) {
   EXPECT_DOUBLE_EQ(trace.max_broadcast_weight(), 0.0);
 }
 
-TEST(CountingTraceTest, AggregatesWithoutStoring) {
-  CountingTrace trace;
-  for (int i = 0; i < 1000; ++i) {
-    trace.on_round(event_with_weight(i, static_cast<double>(i % 7)));
-    trace.on_delivery(DeliveryTraceEvent{});
-  }
-  EXPECT_EQ(trace.rounds(), 1000);
-  EXPECT_EQ(trace.deliveries(), 1000);
-  EXPECT_DOUBLE_EQ(trace.max_broadcast_weight(), 6.0);
-}
-
 TEST(TraceSinkTest, DefaultSinkIgnoresEverything) {
   TraceSink sink;
   sink.on_round(RoundTraceEvent{});

@@ -3,43 +3,14 @@
 // the PR 2 determinism contract extended to the whole catalog.
 #include <gtest/gtest.h>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
+#include "src/service/streaming_sweep.h"
+#include "tests/testing/point_results.h"
 
 namespace wsync {
 namespace {
-
-void expect_same_summary(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p90, b.p90);
-  EXPECT_EQ(a.p99, b.p99);
-}
-
-void expect_same_result(const PointResult& a, const PointResult& b) {
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.synced_runs, b.synced_runs);
-  EXPECT_EQ(a.timeout_runs, b.timeout_runs);
-  EXPECT_EQ(a.agreement_violations, b.agreement_violations);
-  EXPECT_EQ(a.commit_violations, b.commit_violations);
-  EXPECT_EQ(a.correctness_violations, b.correctness_violations);
-  EXPECT_EQ(a.max_leaders, b.max_leaders);
-  EXPECT_EQ(a.multi_leader_runs, b.multi_leader_runs);
-  EXPECT_EQ(a.max_broadcast_weight, b.max_broadcast_weight);
-  expect_same_summary(a.rounds_to_live, b.rounds_to_live);
-  expect_same_summary(a.max_node_latency, b.max_node_latency);
-  // The energy ledger totals are part of the determinism contract too.
-  EXPECT_EQ(a.broadcast_rounds, b.broadcast_rounds);
-  EXPECT_EQ(a.listen_rounds, b.listen_rounds);
-  EXPECT_EQ(a.sleep_rounds, b.sleep_rounds);
-  EXPECT_EQ(a.energy_budget_violations, b.energy_budget_violations);
-  expect_same_summary(a.max_awake_rounds, b.max_awake_rounds);
-  expect_same_summary(a.mean_awake_rounds, b.mean_awake_rounds);
-}
 
 class RegistryRoundTripTest
     : public ::testing::TestWithParam<const Scenario*> {};
@@ -53,10 +24,10 @@ TEST_P(RegistryRoundTripTest, RunsOneSeedIdenticallyAcrossWorkerCounts) {
   const Scenario& scenario = *GetParam();
   ASSERT_NO_THROW(validate(scenario));
 
-  const ScenarioResult one = run_scenario(scenario, /*seeds=*/1,
-                                          /*workers=*/1);
-  ASSERT_EQ(one.points.size(), scenario.grid.size());
-  for (const PointResult& r : one.points) {
+  ThreadPool serial(1);
+  const std::vector<PointResult> one = run_points(scenario.grid, 1, serial);
+  ASSERT_EQ(one.size(), scenario.grid.size());
+  for (const PointResult& r : one) {
     // Every run completed (synced or counted as a timeout), and the one
     // unconditional hard property held.
     EXPECT_EQ(r.runs, 1);
@@ -68,13 +39,15 @@ TEST_P(RegistryRoundTripTest, RunsOneSeedIdenticallyAcrossWorkerCounts) {
     EXPECT_GT(r.broadcast_rounds + r.listen_rounds, 0);
   }
 
-  const ScenarioResult four = run_scenario(scenario, /*seeds=*/1,
-                                           /*workers=*/4);
-  ASSERT_EQ(four.points.size(), one.points.size());
-  for (size_t i = 0; i < one.points.size(); ++i) {
-    expect_same_result(one.points[i], four.points[i]);
+  ThreadPool parallel(4);
+  const std::vector<PointResult> four =
+      run_points(scenario.grid, 1, parallel);
+  ASSERT_EQ(four.size(), one.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    testing::expect_same_result(one[i], four[i]);
   }
-  EXPECT_EQ(one.failures, four.failures);
+  EXPECT_EQ(check_expectations(scenario, one),
+            check_expectations(scenario, four));
 }
 
 std::vector<const Scenario*> catalog_pointers() {

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 
 namespace wsync {
 namespace {
@@ -43,10 +46,23 @@ TEST(ReportTest, ColumnSchemaIsPinned) {
   EXPECT_EQ(result_columns(), expected);
 }
 
+/// `scenario`'s grid at `seeds` per point on a `workers`-thread pool.
+std::vector<PointResult> run_grid(const Scenario& scenario, int seeds,
+                                  int workers) {
+  ThreadPool pool(workers);
+  return run_points(scenario.grid, seeds, pool);
+}
+
+/// The catalog CSV (header included) of one scenario's results.
+std::string csv_of(const Scenario& scenario,
+                   const std::vector<PointResult>& results) {
+  std::ostringstream out;
+  StreamingCsvWriter(out).add(scenario, results);
+  return out.str();
+}
+
 TEST(ReportTest, CsvHeaderIsScenarioPlusResultColumns) {
-  const CsvReport report;
-  const std::string csv = report.str();
-  EXPECT_EQ(csv,
+  EXPECT_EQ(csv_of(small_scenario(), {}),
             "scenario,protocol,adversary,activation,F,t,t_actual,N,n,runs,"
             "synced,timeout,p50_rounds,p90_rounds,agreement_viol,"
             "max_leaders,awake_p50,awake_max,awake_frac,bcast_rounds,"
@@ -56,17 +72,14 @@ TEST(ReportTest, CsvHeaderIsScenarioPlusResultColumns) {
 
 TEST(ReportTest, RowsAreIdenticalAcrossWorkerCounts) {
   const Scenario s = small_scenario();
-  const ScenarioResult one = run_scenario(s, /*seeds=*/2, /*workers=*/1);
-  const ScenarioResult four = run_scenario(s, /*seeds=*/2, /*workers=*/4);
+  const std::vector<PointResult> one = run_grid(s, /*seeds=*/2, /*workers=*/1);
+  const std::vector<PointResult> four =
+      run_grid(s, /*seeds=*/2, /*workers=*/4);
 
-  CsvReport csv_one;
-  csv_one.add(s, one.points);
-  CsvReport csv_four;
-  csv_four.add(s, four.points);
-  EXPECT_EQ(csv_one.str(), csv_four.str());
+  EXPECT_EQ(csv_of(s, one), csv_of(s, four));
 
-  const Table table_one = results_table(s, one.points);
-  const Table table_four = results_table(s, four.points);
+  const Table table_one = results_table(s, one);
+  const Table table_four = results_table(s, four);
   EXPECT_EQ(table_one.json(), table_four.json());
   EXPECT_EQ(table_one.markdown(), table_four.markdown());
 }
@@ -94,34 +107,27 @@ TEST(ReportTest, MaintenanceRowsAreByteIdenticalAcrossWorkerCounts) {
   point.maintenance_rounds = 1500;
   s.grid.push_back(point);
 
-  const ScenarioResult one = run_scenario(s, /*seeds=*/3, /*workers=*/1);
-  const ScenarioResult four = run_scenario(s, /*seeds=*/3, /*workers=*/4);
-  CsvReport csv_one;
-  csv_one.add(s, one.points);
-  CsvReport csv_four;
-  csv_four.add(s, four.points);
-  EXPECT_EQ(csv_one.str(), csv_four.str());
-  EXPECT_EQ(results_table(s, one.points).json(),
-            results_table(s, four.points).json());
+  const std::vector<PointResult> one = run_grid(s, /*seeds=*/3, /*workers=*/1);
+  const std::vector<PointResult> four =
+      run_grid(s, /*seeds=*/3, /*workers=*/4);
+  EXPECT_EQ(csv_of(s, one), csv_of(s, four));
+  EXPECT_EQ(results_table(s, one).json(), results_table(s, four).json());
   // And the drift columns carry real signal, not defaults: the cadence
   // corrected skew at least once across the maintenance windows.
-  ASSERT_EQ(one.points.size(), 1u);
-  EXPECT_GT(one.points[0].resync_count, 0);
-  EXPECT_EQ(one.points[0].point.drift_ppm, 120);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_GT(one[0].resync_count, 0);
+  EXPECT_EQ(one[0].point.drift_ppm, 120);
 }
 
 TEST(ReportTest, EnergyColumnsSurfaceTheLedger) {
   const Scenario s = small_scenario();
-  const ScenarioResult result = run_scenario(s, /*seeds=*/2, /*workers=*/2);
-  const Table table = results_table(s, result.points);
-  const std::string csv = [&] {
-    CsvReport report;
-    report.add(s, result.points);
-    return report.str();
-  }();
+  const std::vector<PointResult> points =
+      run_grid(s, /*seeds=*/2, /*workers=*/2);
+  const Table table = results_table(s, points);
+  const std::string csv = csv_of(s, points);
   // The budget is generous, so the run passes and the violation column is
   // zero while the awake/broadcast/listen columns carry real totals.
-  EXPECT_TRUE(result.ok());
+  EXPECT_TRUE(check_expectations(s, points).empty());
   EXPECT_NE(csv.find("report_test_scenario,trapdoor,random_subset"),
             std::string::npos);
   // drift_ppm 0, max_offset 0, offset_viol 0, resyncs 0: no maintenance

@@ -4,8 +4,12 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/scenario/registry.h"
+#include "src/service/streaming_sweep.h"
 
 namespace wsync {
 namespace {
@@ -171,10 +175,12 @@ TEST(ScenarioExpectationsTest, ImpossibleEnergyBudgetFailsARealRun) {
   // budget failure.
   Scenario s = minimal_scenario();
   s.grid[0].energy_budget = 0;
-  const ScenarioResult result = run_scenario(s, 1, 1);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.failures[0].find("energy budget"), std::string::npos);
-  EXPECT_EQ(result.points[0].energy_budget_violations, 1);
+  ThreadPool pool(1);
+  const std::vector<PointResult> points = run_points(s.grid, 1, pool);
+  const std::vector<std::string> failures = check_expectations(s, points);
+  ASSERT_FALSE(failures.empty());
+  EXPECT_NE(failures[0].find("energy budget"), std::string::npos);
+  EXPECT_EQ(points[0].energy_budget_violations, 1);
 }
 
 TEST(ScenarioRunTest, RunScenarioProducesGridOrderedResults) {
@@ -183,19 +189,22 @@ TEST(ScenarioRunTest, RunScenarioProducesGridOrderedResults) {
   second.t = 0;
   second.adversary = AdversaryKind::kNone;
   s.grid.push_back(second);
-  const ScenarioResult result = run_scenario(s, 2, 2);
-  ASSERT_EQ(result.points.size(), 2u);
-  EXPECT_EQ(result.points[0].point.t, 2);
-  EXPECT_EQ(result.points[1].point.t, 0);
-  EXPECT_EQ(result.points[0].runs, 2);
-  EXPECT_TRUE(result.ok()) << result.failures.front();
+  ThreadPool pool(2);
+  const std::vector<PointResult> points = run_points(s.grid, 2, pool);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].point.t, 2);
+  EXPECT_EQ(points[1].point.t, 0);
+  EXPECT_EQ(points[0].runs, 2);
+  EXPECT_TRUE(check_expectations(s, points).empty());
 }
 
 TEST(ScenarioRunTest, SeedsZeroMeansScenarioDefault) {
   Scenario s = minimal_scenario();
   s.default_seeds = 3;
-  const ScenarioResult result = run_scenario(s);
-  EXPECT_EQ(result.points[0].runs, 3);
+  const SweepPlan plan = make_plan({&s}, /*seeds_override=*/0);
+  ASSERT_EQ(plan.scenarios[0].seeds, 3);
+  ThreadPool pool(2);
+  EXPECT_EQ(run_points(s.grid, plan.scenarios[0].seeds, pool)[0].runs, 3);
 }
 
 TEST(RegistryTest, CatalogHasAtLeastTwelveValidatedScenarios) {

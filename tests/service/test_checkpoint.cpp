@@ -1,61 +1,57 @@
-// Checkpoint wall: bit-exact chunk round-trips (doubles travel as IEEE bit
-// patterns, so -0.0, denormals, infinities and NaN all survive), and the
-// strict-rejection contract — a corrupted, truncated, duplicated or
-// foreign-fingerprint checkpoint must never resume, while a newline-less
-// partial tail (the kill-mid-append signature) is dropped with a notice.
+// Checkpoint wall: bit-exact chunk round-trips of every kResultFields entry
+// (doubles travel as IEEE bit patterns, so -0.0, denormals, infinities and
+// NaN all survive), and the strict-rejection contract — a corrupted,
+// truncated, negative, duplicated, other-format or foreign-fingerprint
+// checkpoint must never resume, while a newline-less partial tail (the
+// kill-mid-append signature) is dropped with a notice.
 #include "src/service/checkpoint.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <string>
+#include <type_traits>
+
+#include "tests/testing/point_results.h"
 
 namespace wsync {
 namespace {
 
-/// A PointResult with every serialized field nonzero and awkward doubles
-/// in the summaries.
+/// A PointResult with every serialised kResultFields entry set to a
+/// distinct non-zero value, and awkward doubles in two summaries.
 PointResult fancy_result() {
   PointResult r;
-  r.runs = 12;
-  r.synced_runs = 11;
-  r.timeout_runs = 1;
-  r.agreement_violations = 2;
-  r.commit_violations = 3;
-  r.correctness_violations = 4;
-  r.max_leaders = 5;
-  r.multi_leader_runs = 6;
-  r.max_broadcast_weight = 1.0 / 3.0;
-  r.broadcast_rounds = 700;
-  r.listen_rounds = 800;
-  r.sleep_rounds = 900;
-  r.energy_budget_violations = 7;
+  double next = 12;  // runs = 12, which the file tests below key on
+  for_each_coded(kResultFields, r, [&](const auto&, auto& value) {
+    using Value = std::remove_reference_t<decltype(value)>;
+    if constexpr (std::is_same_v<Value, Summary>) {
+      value.count = static_cast<size_t>(next++);
+      for (const auto member : kSummaryDoubles) value.*member = next++ + 0.5;
+    } else {
+      value = static_cast<Value>(next++);
+      if constexpr (std::is_same_v<Value, double>) value += 0.25;
+    }
+  });
   r.rounds_to_live = {11, 1.5, 0.25, -0.0, 1e300, 2.5, 3.5, 4.5};
   r.max_node_latency = {11, std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::quiet_NaN(),
                         std::numeric_limits<double>::denorm_min(),
                         -std::numeric_limits<double>::infinity(), 0.1, 0.2,
                         0.3};
-  r.max_awake_rounds = {12, 5.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0};
-  r.mean_awake_rounds = {12, 4.5, 0.5, 4.0, 5.0, 4.5, 5.0, 5.0};
-  r.awake_fraction = {12, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 0.25};
-  r.offset_violations = 13;
-  r.resync_count = 14;
-  r.max_offset = {12, 2.5, 0.5, 1.0, 4.0, 2.0, 3.0, 4.0};
   return r;
 }
 
-void expect_bit_identical(const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count);
-  const double av[] = {a.mean, a.stddev, a.min, a.max, a.p50, a.p90, a.p99};
-  const double bv[] = {b.mean, b.stddev, b.min, b.max, b.p50, b.p90, b.p99};
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(av[i]), std::bit_cast<uint64_t>(bv[i]));
-  }
+/// `payload` (a chunk line without its checksum) re-sealed with a valid
+/// checksum, as a hand-edited file would be.
+std::string sealed(const std::string& payload) {
+  char checksum[32];
+  std::snprintf(checksum, sizeof(checksum), " #%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  return payload + checksum;
 }
 
 TEST(CheckpointCodec, ChunkLineRoundTripsBitExactly) {
@@ -68,29 +64,9 @@ TEST(CheckpointCodec, ChunkLineRoundTripsBitExactly) {
   ASSERT_EQ(decode_chunk_line(line, &scenario, &point_index, &decoded), "");
   EXPECT_EQ(scenario, "fancy_scenario");
   EXPECT_EQ(point_index, 17u);
-  EXPECT_EQ(decoded.runs, original.runs);
-  EXPECT_EQ(decoded.synced_runs, original.synced_runs);
-  EXPECT_EQ(decoded.timeout_runs, original.timeout_runs);
-  EXPECT_EQ(decoded.agreement_violations, original.agreement_violations);
-  EXPECT_EQ(decoded.commit_violations, original.commit_violations);
-  EXPECT_EQ(decoded.correctness_violations, original.correctness_violations);
-  EXPECT_EQ(decoded.max_leaders, original.max_leaders);
-  EXPECT_EQ(decoded.multi_leader_runs, original.multi_leader_runs);
-  EXPECT_EQ(std::bit_cast<uint64_t>(decoded.max_broadcast_weight),
-            std::bit_cast<uint64_t>(original.max_broadcast_weight));
-  EXPECT_EQ(decoded.broadcast_rounds, original.broadcast_rounds);
-  EXPECT_EQ(decoded.listen_rounds, original.listen_rounds);
-  EXPECT_EQ(decoded.sleep_rounds, original.sleep_rounds);
-  EXPECT_EQ(decoded.energy_budget_violations,
-            original.energy_budget_violations);
-  expect_bit_identical(decoded.rounds_to_live, original.rounds_to_live);
-  expect_bit_identical(decoded.max_node_latency, original.max_node_latency);
-  expect_bit_identical(decoded.max_awake_rounds, original.max_awake_rounds);
-  expect_bit_identical(decoded.mean_awake_rounds, original.mean_awake_rounds);
-  expect_bit_identical(decoded.awake_fraction, original.awake_fraction);
-  EXPECT_EQ(decoded.offset_violations, original.offset_violations);
-  EXPECT_EQ(decoded.resync_count, original.resync_count);
-  expect_bit_identical(decoded.max_offset, original.max_offset);
+  // Every field was distinct and non-zero, so a field the line dropped
+  // would decode as zero and fail here.
+  testing::expect_same_result(decoded, original);
 }
 
 TEST(CheckpointCodec, FlippedByteFailsTheChecksum) {
@@ -121,18 +97,44 @@ TEST(CheckpointCodec, TruncatedFieldsAreRejectedEvenWithValidChecksum) {
   // Re-checksum a field-truncated payload: the checksum passes, the field
   // parse must still fail.
   const std::string line = encode_chunk_line("s", 3, fancy_result());
-  const size_t marker = line.rfind(" #");
-  std::string payload = line.substr(0, marker);
+  std::string payload = line.substr(0, line.rfind(" #"));
   payload = payload.substr(0, payload.rfind(' '));  // drop the last field
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), " #%016llx",
-                static_cast<unsigned long long>(fnv1a64(payload)));
   std::string scenario;
   size_t point_index = 0;
   PointResult decoded;
-  EXPECT_EQ(decode_chunk_line(payload + checksum, &scenario, &point_index,
+  EXPECT_EQ(decode_chunk_line(sealed(payload), &scenario, &point_index,
                               &decoded),
             "malformed chunk fields");
+}
+
+TEST(CheckpointCodec, NegativeCountsAndPointIndicesAreRejected) {
+  // Negate each count (every token after the scenario but the 16-digit
+  // doubles: the point index, the integer fields, the summaries' counts)
+  // and re-seal the line: the checksum passes, the decode must not.
+  const PointResult original = fancy_result();
+  const std::string line = encode_chunk_line("s", 2, original);
+  const std::string payload = line.substr(0, line.rfind(" #"));
+  size_t negated = 0;
+  for (size_t space = payload.find(' ', 6); space != std::string::npos;
+       space = payload.find(' ', space + 1)) {
+    const size_t end = std::min(payload.find(' ', space + 1), payload.size());
+    if (end - space - 1 == 16) continue;
+    std::string scenario;
+    size_t point_index = 0;
+    PointResult decoded;
+    EXPECT_EQ(decode_chunk_line(sealed(payload.substr(0, space + 1) + "-" +
+                                       payload.substr(space + 1)),
+                                &scenario, &point_index, &decoded),
+              "malformed chunk fields")
+        << "token at " << space + 1 << " negated";
+    ++negated;
+  }
+  size_t counts = 1;  // the point index, then one per non-double field
+  for_each_coded(kResultFields, original,
+                 [&](const auto&, const auto& value) {
+                   counts += !std::is_same_v<decltype(value), const double&>;
+                 });
+  EXPECT_EQ(negated, counts);
 }
 
 class CheckpointFileTest : public ::testing::Test {
@@ -234,6 +236,18 @@ TEST_F(CheckpointFileTest, NewlinelessTailIsDroppedNotRejected) {
   EXPECT_TRUE(load.dropped_partial_tail);
   EXPECT_EQ(load.chunks.size(), 1u);
   EXPECT_EQ(load.chunks.count({"alpha", 0}), 1u);
+}
+
+TEST_F(CheckpointFileTest, OtherFormatsAreRejectedByName) {
+  // The pre-field-list "v3" files, and any file whose chunk lines follow
+  // another field list, fail on the header with both formats named.
+  ASSERT_EQ(checkpoint_format().rfind("fields-", 0), 0u);
+  write_file("wsync-checkpoint v3 fingerprint 0000000000000042\n");
+  const CheckpointLoad load = load_checkpoint(path_, 0x42);
+  EXPECT_FALSE(load.ok());
+  EXPECT_NE(load.error.find("format 'v3'"), std::string::npos) << load.error;
+  EXPECT_NE(load.error.find(checkpoint_format()), std::string::npos)
+      << load.error;
 }
 
 TEST_F(CheckpointFileTest, GarbageAndMissingHeadersAreRejected) {

@@ -2,7 +2,8 @@
 // through the real wsync_run binary, SIGKILL it after a few checkpointed
 // chunks, resume with --resume, and byte-compare the final JSON + CSV
 // against an uninterrupted run. Also pins the CLI-level rejection of
-// corrupted and foreign checkpoints (exit 2, nothing resumed).
+// corrupted, negative, other-format and foreign checkpoints (exit 2,
+// nothing resumed).
 //
 // The child is paced with --throttle-ms so the kill reliably lands
 // mid-grid; progress is observed by re-reading the checkpoint file
@@ -21,6 +22,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/service/checkpoint.h"
 
 namespace wsync {
 namespace {
@@ -206,6 +209,39 @@ TEST_F(CrashResumeTest, TruncatedHeaderIsRejectedWithExitTwo) {
   EXPECT_EQ(code, 2);
   EXPECT_NE(read_file(tmp_ + "t2.out").find("no complete header"),
             std::string::npos);
+}
+
+TEST_F(CrashResumeTest, HandEditedCheckpointsAreRejectedWithExitTwo) {
+  const std::string ck = tmp_ + "edited.ck";
+  ASSERT_EQ(wait_exit(spawn_run({"--checkpoint", ck}, tmp_ + "e1.out")), 0);
+  const std::string good = read_file(ck);
+  auto expect_rejected = [&](const std::string& content,
+                             const std::string& why) {
+    write_file(ck, content);
+    const pid_t pid = spawn_run({"--checkpoint", ck, "--resume"}, tmp_ + "e2");
+    EXPECT_EQ(wait_exit(pid), 2);
+    EXPECT_NE(read_file(tmp_ + "e2").find(why), std::string::npos);
+  };
+
+  // A negative runs count (after "chunk <scenario> <index>"), re-sealed.
+  const size_t begin = good.find("\nchunk ") + 1;
+  const std::string line = good.substr(begin, good.find('\n', begin) - begin);
+  std::string payload = line.substr(0, line.rfind(" #"));
+  const size_t runs =
+      payload.find(' ', payload.find(' ', payload.find(' ') + 1) + 1) + 1;
+  payload = payload.substr(0, runs) + "-" + payload.substr(runs);
+  char checksum[32];
+  std::snprintf(checksum, sizeof(checksum), " #%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  std::string content = good;
+  content.replace(begin, line.size(), payload + checksum);
+  expect_rejected(content, "malformed chunk fields");
+
+  // A header naming another chunk-line format: the pre-field-list "v3".
+  content = good;
+  content.replace(content.find(checkpoint_format()),
+                  checkpoint_format().size(), "v3");
+  expect_rejected(content, "format 'v3'");
 }
 
 TEST_F(CrashResumeTest, ForeignFingerprintIsRejectedWithExitTwo) {

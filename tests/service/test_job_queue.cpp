@@ -125,6 +125,19 @@ TEST(JobQueueStress, AllZeroTaskChunksStillDeliverInOrder) {
   EXPECT_TRUE(std::is_sorted(delivered.begin(), delivered.end()));
 }
 
+TEST(JobQueueStress, ReturnsWithThePoolQuiesced) {
+  // A worker can still be between a task's return and the pool counting
+  // it; run() waits that out. 8 workers make a preempted one likely.
+  for (int repeat = 0; repeat < 100; ++repeat) {
+    ThreadPool pool(8);
+    const OrderedChunkQueue::Stats stats = OrderedChunkQueue::run(
+        pool, 16, [](size_t) { return size_t{3}; }, [](size_t, size_t) {},
+        [](size_t) {}, /*window=*/4);
+    ASSERT_EQ(pool.stats().tasks_executed, static_cast<int64_t>(stats.tasks))
+        << "repeat " << repeat;
+  }
+}
+
 TEST(JobQueueStress, ZeroChunksIsANoOp) {
   ThreadPool pool(2);
   const OrderedChunkQueue::Stats stats = OrderedChunkQueue::run(

@@ -1,5 +1,5 @@
 // Streaming sweep wall: the bounded-memory chunked execution must be
-// bit-identical to the one-shot path, invariant under worker count and
+// bit-identical to the serial oracle, invariant under worker count and
 // window size, and exactly resumable — a full or partial checkpoint replay
 // yields the same sink sequence as computing from scratch, with zero tasks
 // scheduled for replayed chunks. Results are compared through
@@ -11,11 +11,15 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/scenario/scenario.h"
 #include "src/service/checkpoint.h"
+#include "src/service/run_metrics.h"
+#include "src/telemetry/metrics.h"
+#include "tests/testing/point_results.h"
 
 namespace wsync {
 namespace {
@@ -132,20 +136,22 @@ TEST(StreamingSweepTest, BitIdenticalAcrossWorkersAndWindows) {
 }
 
 TEST(StreamingSweepTest, MatchesTheOneShotScenarioRunner) {
+  // The one-shot runner is the serial oracle: each point, seed by seed, on
+  // this thread.
   const Scenario scenario = small_scenario("solo_fixture", 3);
   ThreadPool pool(4);
-  const ScenarioResult one_shot = run_scenario(scenario, /*seeds=*/0, pool);
-
   const SweepPlan plan = make_plan({&scenario}, /*seeds_override=*/0);
   RecordingSink sink;
   sink.attach(&plan);
   StreamingSweepOptions options;
   run_streaming_sweep(plan, pool, options, sink);
 
-  ASSERT_EQ(one_shot.points.size(), 3u);
-  for (size_t pi = 0; pi < one_shot.points.size(); ++pi) {
+  ASSERT_EQ(sink.events.size(), 5u);
+  for (size_t pi = 0; pi < scenario.grid.size(); ++pi) {
     EXPECT_EQ(sink.events[1 + pi],
-              encode_chunk_line(scenario.name, pi, one_shot.points[pi]));
+              encode_chunk_line(scenario.name, pi,
+                                testing::serial_point(scenario.grid[pi],
+                                                      scenario.default_seeds)));
   }
 }
 
@@ -254,19 +260,43 @@ TEST(StreamingSweepTest, FingerprintTracksResultAffectingParameters) {
   renamed.scenarios[1].scenario.name = "renamed_fixture";
   EXPECT_NE(plan_fingerprint(renamed), reference);
 
-  SweepPlan bigger_budget = base;
-  bigger_budget.scenarios[0].scenario.grid[0].max_rounds += 100;
-  EXPECT_NE(plan_fingerprint(bigger_budget), reference);
-
-  // The engine mode is deliberately NOT mixed in: dense and sparse are
-  // bit-identical by contract, so a dense checkpoint resumes sparse.
-  SweepPlan dense = base;
-  for (PlannedScenario& planned : dense.scenarios) {
-    for (ExperimentPoint& point : planned.scenario.grid) {
-      point.engine = EngineMode::kDense;
+  // So does every kPointFields entry but the engine mode, which is
+  // deliberately not mixed in: dense and sparse are bit-identical by
+  // contract, so a dense checkpoint resumes sparse.
+  for_each_field(kPointFields, [&](const auto& field) {
+    SweepPlan changed = base;
+    auto& value = changed.scenarios[1].scenario.grid.back().*field.member;
+    using Value = std::remove_reference_t<decltype(value)>;
+    if constexpr (std::is_enum_v<Value>) {
+      value = static_cast<Value>(static_cast<int>(value) + 1);
+    } else if constexpr (std::is_same_v<Value, std::vector<CrashWave>>) {
+      value.push_back(CrashWave{1, 1});
+    } else {
+      value += 1;
     }
+    EXPECT_EQ(plan_fingerprint(changed) == reference,
+              field.codec == Codec::kSkip)
+        << field.name;
+  });
+}
+
+TEST(StreamingSweepTest, PoolTasksMatchRunsOnACleanSweep) {
+  // The sweep returns with the pool quiesced, so the timing-class task
+  // count wsync_run and wsync_serve report equals the runs delivered.
+  const SweepPlan plan = two_scenario_plan();
+  for (int repeat = 0; repeat < 30; ++repeat) {
+    ThreadPool pool(8);
+    telemetry::MetricsRegistry registry;
+    RunMetricsCollector metrics(&registry);
+    ChunkSink sink;
+    StreamingSweepOptions options;
+    options.metrics = &metrics;
+    run_streaming_sweep(plan, pool, options, sink);
+    const auto runs = telemetry::MetricClass::kDeterministic;
+    ASSERT_EQ(pool.stats().tasks_executed,
+              registry.counter("runs_total", runs).value())
+        << "repeat " << repeat;
   }
-  EXPECT_EQ(plan_fingerprint(dense), reference);
 }
 
 TEST(StreamingSweepTest, MakePlanValidatesAndResolvesSeeds) {
@@ -280,6 +310,112 @@ TEST(StreamingSweepTest, MakePlanValidatesAndResolvesSeeds) {
   Scenario invalid = scenario;
   invalid.grid.clear();
   EXPECT_THROW(make_plan({&invalid}, 0), std::invalid_argument);
+}
+
+// --- run_points: the adapter against the serial oracle ---------------------
+// Grid order, timeouts counted, any worker count, a reused pool, and errors
+// surfacing on the caller.
+
+using testing::expect_same_result;
+using testing::serial_point;
+
+PointResult run_one(const ExperimentPoint& point, int seeds, int workers) {
+  ThreadPool pool(workers);
+  return run_points({point}, seeds, pool).at(0);
+}
+
+TEST(ParallelSweepTest, RunPointParallelMatchesSerial) {
+  const ExperimentPoint point = trapdoor_point(2);
+  const PointResult serial = serial_point(point, 6);
+  for (const int workers : {1, 4}) {
+    expect_same_result(serial, run_one(point, 6, workers));
+  }
+}
+
+TEST(ParallelSweepTest, RunPointsParallelMatchesSerialPointwise) {
+  const std::vector<ExperimentPoint> points = {
+      trapdoor_point(0), trapdoor_point(1), trapdoor_point(2)};
+  ThreadPool pool(4);
+  const std::vector<PointResult> parallel = run_points(points, 4, pool);
+  ASSERT_EQ(parallel.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    // Results must land at the index of their point, not completion order.
+    EXPECT_EQ(parallel[i].point.t, points[i].t);
+    expect_same_result(serial_point(points[i], 4), parallel[i]);
+  }
+}
+
+TEST(ParallelSweepTest, EmptyGridYieldsEmptyResults) {
+  ThreadPool pool(2);
+  EXPECT_TRUE(run_points({}, 4, pool).empty());
+}
+
+TEST(ParallelSweepTest, TimeoutRunsAreCountedNotDropped) {
+  ExperimentPoint point = trapdoor_point(2);
+  point.N = 1024;
+  point.n = 8;
+  point.max_rounds = 3;  // nothing can synchronize in 3 rounds
+  const PointResult result = serial_point(point, 5);
+  EXPECT_EQ(result.runs, 5);
+  EXPECT_EQ(result.synced_runs, 0);
+  EXPECT_EQ(result.timeout_runs, 5);
+  // The summaries hold no samples — timeout_runs is the only trace of the
+  // five runs, which is exactly why it must exist.
+  EXPECT_EQ(result.rounds_to_live.count, 0u);
+  EXPECT_EQ(result.max_node_latency.count, 0u);
+  expect_same_result(result, run_one(point, 5, 2));
+}
+
+TEST(ParallelSweepTest, MixedOutcomePointSplitsSyncedAndTimeout) {
+  // A budget between the fast and slow seeds' needs: some runs sync, the
+  // rest time out, and the counters must partition runs exactly.
+  ExperimentPoint point = trapdoor_point(2);
+  const PointResult unbounded = run_one(point, 6, 2);
+  ASSERT_EQ(unbounded.synced_runs, 6);
+  point.max_rounds = static_cast<RoundId>(unbounded.rounds_to_live.p50);
+  const PointResult bounded = run_one(point, 6, 2);
+  EXPECT_EQ(bounded.synced_runs + bounded.timeout_runs, bounded.runs);
+  EXPECT_GT(bounded.timeout_runs, 0);
+}
+
+TEST(ParallelRunnerTest, BitIdenticalToSerialAcrossWorkerCounts) {
+  ExperimentPoint point = trapdoor_point(2);
+  point.extra_rounds = 64;
+  const PointResult serial = serial_point(point, 8);
+  for (const int workers : {1, 4, ThreadPool::default_workers()}) {
+    expect_same_result(serial, run_one(point, 8, workers));
+  }
+}
+
+TEST(ParallelRunnerTest, SharedPoolOverloadMatchesSerial) {
+  ExperimentPoint point = trapdoor_point(2);
+  point.n = 4;
+  const PointResult serial = serial_point(point, 4);
+  ThreadPool pool(4);
+  // Re-using one pool across calls must not perturb results either.
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    expect_same_result(serial, run_points({point}, 4, pool).at(0));
+  }
+}
+
+TEST(ParallelRunnerTest, UnsyncedRunsSurviveParallelReplication) {
+  ExperimentPoint point = trapdoor_point(2);
+  point.N = 1024;
+  point.n = 4;
+  point.max_rounds = 3;
+  const PointResult result = run_one(point, 3, 4);
+  EXPECT_EQ(result.runs, 3);
+  EXPECT_EQ(result.timeout_runs, 3);
+  EXPECT_EQ(result.rounds_simulated, 3 * 3);
+}
+
+TEST(ParallelRunnerTest, InvalidSpecPropagatesException) {
+  ExperimentPoint point = trapdoor_point(2);
+  point.n = 0;  // make_run_spec rejects n < 1
+  ThreadPool pool(2);
+  EXPECT_THROW(run_points({trapdoor_point(2), point}, 2, pool),
+               std::invalid_argument);
+  EXPECT_THROW(run_points({trapdoor_point(2)}, 0, pool), std::invalid_argument);
 }
 
 }  // namespace

@@ -43,17 +43,6 @@ SweepPlan slice_plan(EngineMode engine) {
   return plan;
 }
 
-/// Sink that discards everything: the wall reads the collector, not the
-/// report stream.
-class NullSink : public ChunkSink {
- public:
-  void on_scenario_begin(size_t, const PlannedScenario&) override {}
-  void on_chunk(size_t, size_t, const PointResult&, bool) override {}
-  void on_scenario_end(size_t, const PlannedScenario&,
-                       const std::vector<PointResult>&,
-                       const std::vector<std::string>&) override {}
-};
-
 struct MetricsCapture {
   std::string deterministic;
   std::string engine;
@@ -65,7 +54,7 @@ MetricsCapture run_and_capture(const SweepPlan& plan, int workers,
   ThreadPool pool(workers);
   telemetry::MetricsRegistry registry;
   RunMetricsCollector metrics(&registry);
-  NullSink sink;
+  ChunkSink sink;  // the wall reads the collector, not the report stream
   StreamingSweepOptions options;
   options.metrics = &metrics;
   options.checkpoint = checkpoint;
@@ -117,7 +106,7 @@ TEST(MetricsIdentityTest, TimingMetricsNeverLeakIntoWalledSections) {
   ThreadPool pool(2);
   telemetry::MetricsRegistry registry;
   RunMetricsCollector metrics(&registry);
-  NullSink sink;
+  ChunkSink sink;  // the wall reads the collector, not the report stream
   StreamingSweepOptions options;
   options.metrics = &metrics;
   run_streaming_sweep(plan, pool, options, sink);

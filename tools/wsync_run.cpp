@@ -431,10 +431,6 @@ class CliSink : public ChunkSink {
     std::fflush(stdout);
   }
 
-  void on_chunk(size_t /*scenario_index*/, size_t /*point_index*/,
-                const PointResult& /*result*/,
-                bool /*from_checkpoint*/) override {}
-
   void on_scenario_end(size_t /*scenario_index*/,
                        const PlannedScenario& planned,
                        const std::vector<PointResult>& results,
@@ -458,7 +454,7 @@ class CliSink : public ChunkSink {
   StreamingCsvWriter* csv_;
 };
 
-int run_scenarios(const Options& options) {
+int run_selection(const Options& options) {
   std::vector<const Scenario*> selected;
   if (options.all) {
     for (const Scenario& scenario : ScenarioRegistry::all()) {
@@ -656,5 +652,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (options.list) return wsync::list_catalog(options);
-  return wsync::run_scenarios(options);
+  return wsync::run_selection(options);
 }
