@@ -19,7 +19,12 @@
 //     5% of a telemetry-free baseline of the same seeded workload. The
 //     fully-attached ChromeTraceWriter rate is also measured and recorded
 //     (it pays per-event serialization, so it is informational, not
-//     gated).
+//     gated);
+//   * runner path — the same duty-cycle run at N = 1e4, to liveness, once
+//     through run_sync_experiment (step + SyncVerifier::observe per round)
+//     and once through a bare step() loop over the same rounds. The runner
+//     must cost at most 1.2x the engine it drives: the verifier reads only
+//     the nodes each step changed.
 // Given an output path, writes BENCH_engine_scale.json. Timing numbers are
 // wall-clock and therefore machine-dependent; they are uploaded as an
 // artifact, never diffed.
@@ -38,6 +43,7 @@
 #include "src/radio/activation.h"
 #include "src/radio/engine.h"
 #include "src/stats/table.h"
+#include "src/sync/runner.h"
 #include "src/telemetry/trace_writer.h"
 
 namespace wsync {
@@ -46,8 +52,7 @@ namespace {
 constexpr uint64_t kSeed = 0x5CA1E;
 constexpr double kMinSteadyRoundsPerSec = 10.0;
 
-std::unique_ptr<Simulation> make_sim(int64_t N, EngineMode engine,
-                                     TraceSink* trace = nullptr) {
+SimConfig make_config(int64_t N, EngineMode engine) {
   SimConfig config;
   config.F = 8;
   config.t = 2;
@@ -55,6 +60,12 @@ std::unique_ptr<Simulation> make_sim(int64_t N, EngineMode engine,
   config.n = static_cast<int>(N);
   config.seed = kSeed;
   config.engine = engine;
+  return config;
+}
+
+std::unique_ptr<Simulation> make_sim(int64_t N, EngineMode engine,
+                                     TraceSink* trace = nullptr) {
+  const SimConfig config = make_config(N, engine);
   return std::make_unique<Simulation>(
       config, DutyCycleProtocol::factory(),
       std::make_unique<RandomSubsetAdversary>(2),
@@ -168,6 +179,62 @@ OverheadResult measure_telemetry_overhead() {
   return result;
 }
 
+struct RunnerPathResult {
+  RoundId rounds = 0;
+  double runner_rps = 0;  ///< run_sync_experiment, construction included
+  double engine_rps = 0;  ///< Simulation construction + bare step() loop
+  double ratio() const {
+    return runner_rps > 0 ? engine_rps / runner_rps : 0.0;
+  }
+};
+
+/// Times the runner path against the raw engine on one seeded N = 1e4
+/// duty-cycle run to liveness (make_sim's configuration). Both sides build
+/// their Simulation inside the timed region, since run_sync_experiment
+/// does. Interleaved reps with a rotating order, best-of per side, as in
+/// measure_telemetry_overhead().
+RunnerPathResult measure_runner_path() {
+  constexpr int64_t kN = 10000;
+  constexpr int kReps = 5;
+  RunSpec spec;
+  spec.sim = make_config(kN, EngineMode::kSparse);
+  spec.factory = DutyCycleProtocol::factory();
+  spec.make_adversary = [] {
+    return std::make_unique<RandomSubsetAdversary>(2);
+  };
+  spec.make_activation = [] {
+    return std::make_unique<SimultaneousActivation>(static_cast<int>(kN));
+  };
+  spec.max_rounds = 1'000'000;
+
+  RunnerPathResult result;
+  result.rounds = run_sync_experiment(spec).rounds;  // also the warmup
+  const auto rate = [&](double seconds) {
+    return seconds > 0 ? static_cast<double>(result.rounds) / seconds : 0.0;
+  };
+  const auto run_runner = [&] {
+    const bench::Stopwatch watch;
+    bench::keep(run_sync_experiment(spec).rounds);
+    return rate(watch.seconds());
+  };
+  const auto run_engine = [&] {
+    const bench::Stopwatch watch;
+    auto sim = make_sim(kN, EngineMode::kSparse);
+    for (RoundId r = 0; r < result.rounds; ++r) sim->step();
+    return rate(watch.seconds());
+  };
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) {
+      result.runner_rps = std::max(result.runner_rps, run_runner());
+      result.engine_rps = std::max(result.engine_rps, run_engine());
+    } else {
+      result.engine_rps = std::max(result.engine_rps, run_engine());
+      result.runner_rps = std::max(result.runner_rps, run_runner());
+    }
+  }
+  return result;
+}
+
 }  // namespace
 }  // namespace wsync
 
@@ -248,7 +315,21 @@ int main(int argc, char** argv) {
           ? 100.0 * (1.0 - overhead.sinked_rps / overhead.baseline_rps)
           : 0.0);
 
+  constexpr double kMaxRunnerOverEngine = 1.2;
+  const RunnerPathResult runner = measure_runner_path();
+  std::printf(
+      "\nrunner path (N = 1e4 duty-cycle run to liveness, %lld rounds): "
+      "run_sync_experiment %.1f r/s, bare step() %.1f r/s, runner/engine "
+      "%.3f (gated <= %.1f)\n",
+      static_cast<long long>(runner.rounds), runner.runner_rps,
+      runner.engine_rps, runner.ratio(), kMaxRunnerOverEngine);
+
   std::vector<std::string> failures;
+  if (runner.ratio() > kMaxRunnerOverEngine) {
+    failures.push_back("runner path costs " + std::to_string(runner.ratio()) +
+                       "x the bare engine at N = 1e4 (want <= " +
+                       std::to_string(kMaxRunnerOverEngine) + ")");
+  }
   if (!equivalent) {
     failures.push_back("dense and sparse engines diverged at small N");
   }
@@ -289,6 +370,11 @@ int main(int argc, char** argv) {
         << ",\n  \"telemetry_unsinked_rps\": " << overhead.unsinked_rps
         << ",\n  \"telemetry_sinked_rps\": " << overhead.sinked_rps
         << ",\n  \"max_telemetry_overhead\": " << kMaxTelemetryOverhead
+        << ",\n  \"runner_path_rounds\": " << runner.rounds
+        << ",\n  \"runner_rps\": " << runner.runner_rps
+        << ",\n  \"engine_rps\": " << runner.engine_rps
+        << ",\n  \"runner_over_engine\": " << runner.ratio()
+        << ",\n  \"max_runner_over_engine\": " << kMaxRunnerOverEngine
         << ",\n  \"ok\": " << (failures.empty() ? "true" : "false")
         << ",\n  \"points\":\n"
         << table.json(2) << "\n}\n";

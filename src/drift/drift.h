@@ -56,6 +56,12 @@ int64_t drift_skew(int64_t age, int64_t rate_ppm);
 /// increments in {0, 1, 2}; the identity when rate_ppm == 0.
 int64_t local_clock(int64_t age, int64_t rate_ppm);
 
+/// The smallest age' > `age` with drift_skew(age') != drift_skew(age): the
+/// round served at age' − 1 is the next one in which the local clock steps
+/// by 0 or 2 instead of 1. INT64_MAX when the skew never changes again
+/// (rate_ppm == 0, or a step beyond the int64 range). Requires age >= 0.
+int64_t next_skew_change(int64_t age, int64_t rate_ppm);
+
 /// Draws the n per-node signed rates, uniform in [-spec.ppm, +spec.ppm],
 /// from `rng` (the engine's kDriftStream fork). With ppm == 0 returns an
 /// empty vector WITHOUT drawing, so disabled-drift executions consume no

@@ -209,16 +209,25 @@ double DutyCycleProtocol::broadcast_probability() const {
 
 std::optional<int64_t> DutyCycleProtocol::asleep_for() const {
   if (role_ == Role::kInactive) return 0;  // probed at activation
-  if (dormant_) {
-    if (config_.resync_every_awake_slots <= 0) return kAsleepForever;
+  int64_t horizon = kAsleepForever;
+  if (!dormant_) {
+    horizon = schedule_->next_awake(age_) - age_;
+  } else if (config_.resync_every_awake_slots > 0) {
     // Next resync slot: hop awake slot to awake slot until the cadence rule
     // fires. At most R hops, since awake_rounds_before() advances by one
     // per awake slot.
     int64_t a = schedule_->next_awake(age_);
     while (!resync_slot(a)) a = schedule_->next_awake(a + 1);
-    return a - age_;
+    horizon = a - age_;
   }
-  return schedule_->next_awake(age_) - age_;
+  if (has_sync_ && env_.drift_ppm_rate != 0) {
+    // Sparse contract: an unvisited numbered output advances by exactly one
+    // per round. Wake for the round served at the age before the next skew
+    // change, where the drifted clock steps +0 or +2 instead.
+    horizon = std::min(
+        horizon, next_skew_change(age_, env_.drift_ppm_rate) - 1 - age_);
+  }
+  return horizon;
 }
 
 void DutyCycleProtocol::skip_rounds(int64_t rounds) {
@@ -228,7 +237,8 @@ void DutyCycleProtocol::skip_rounds(int64_t rounds) {
   // delta. No slot counter moves and no role transition can fire (their
   // thresholds are only reachable on the awake round that increments the
   // corresponding counter), so a block of asleep rounds collapses to two
-  // additions — the per-round drift deltas telescope to one closed form.
+  // additions — the per-round drift deltas telescope to one closed form
+  // (which is +1 per round: asleep_for() stops short of any skew change).
   if (has_sync_) sync_value_ += local(age_ + rounds) - local(age_);
   age_ += rounds;
   if (rounds > 0) was_awake_ = false;

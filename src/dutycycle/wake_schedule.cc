@@ -120,14 +120,17 @@ int64_t WakeSchedule::awake_rounds_before(int64_t age) const {
     start += len;
   }
   if (age <= ladder_rounds_) return awake;
-  // Steady contribution: full periods plus a partial tail.
+  // Steady contribution: full periods plus a partial tail [0, tail) of the
+  // grid — its slots in the row block, plus its slots in the column, minus
+  // the one slot the two share when the tail reaches it.
   const int64_t steady = age - ladder_rounds_;
-  const int64_t full = steady / period_;
-  awake += full * slots_per_period();
+  const int64_t s = side_;
+  awake += steady / period_ * slots_per_period();
   const int64_t tail = steady % period_;
-  for (int64_t pos = 0; pos < tail; ++pos) {
-    if (pos / side_ == row_ || pos % side_ == col_) ++awake;
-  }
+  const int64_t row_start = row_ * s;
+  awake += std::clamp<int64_t>(tail - row_start, 0, s);
+  if (tail > col_) awake += (tail - col_ - 1) / s + 1;
+  if (tail > row_start + col_) --awake;
   return awake;
 }
 

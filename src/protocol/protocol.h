@@ -94,7 +94,12 @@ class Protocol {
   //     broadcast_probability() returns exactly 0.0;
   //   * skip_rounds(k), for any k <= asleep_for(), mutates state exactly as
   //     k iterations of act()+on_round_end(nullopt) would — same output(),
-  //     same role(), and output().has_number() may not change while asleep;
+  //     same role();
+  //   * across those k rounds role() and output().has_number() stay fixed,
+  //     and a numbered output advances by exactly one per round — so a
+  //     drifting clock must end the horizon before any round in which it
+  //     steps by 0 or 2. The engine and the verifier then read only the
+  //     nodes it visits (Simulation::changed_nodes());
   //   * whether asleep_for() returns a value is a constant property of the
   //     instance (probed once at activation).
 

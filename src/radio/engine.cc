@@ -1,9 +1,11 @@
 #include "src/radio/engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/common/require.h"
+#include "src/radio/offset_tracker.h"
 
 namespace wsync {
 
@@ -88,6 +90,7 @@ Simulation::Simulation(const SimConfig& config, ProtocolFactory factory,
 
 void Simulation::activate_pending(RoundId r) {
   const std::vector<NodeId> wake = activation_->activations(r, activation_rng_);
+  unvisited_activations_.clear();
   for (NodeId id : wake) {
     WSYNC_REQUIRE(id >= 0 && id < config_.n, "activation id out of range");
     const auto i = static_cast<size_t>(id);
@@ -122,6 +125,7 @@ void Simulation::activate_pending(RoundId r) {
         if (*horizon != kAsleepForever) {
           wake_queue_.schedule(r, r + *horizon, id);
         }
+        if (*horizon > 0) unvisited_activations_.push_back(id);
       }
     }
     if (trace_ != nullptr) trace_->on_activation(r, id);
@@ -244,6 +248,7 @@ RoundReport Simulation::step_dense() {
 
   // (5) Deliver and close the round for every active node.
   int deliveries = 0;
+  changed_.clear();
   for (int i = 0; i < config_.n; ++i) {
     const auto ni = static_cast<size_t>(i);
     if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
@@ -276,9 +281,11 @@ RoundReport Simulation::step_dense() {
       if (trace_ != nullptr) trace_->on_synchronized(r, i, out.value);
     }
     node_last_output_[ni] = out;
+    changed_.push_back(NodeChange{i, protocols_[ni]->role()});
   }
   stats.deliveries = deliveries;
   energy_.end_round();
+  publish_changes();
 
   // (6) Publish history for the adversary and the trace.
   view_.last_round_ = stats;
@@ -333,6 +340,25 @@ void Simulation::build_cohort(RoundId r) {
   cohort_.resize(due_.size() + always_awake_.size());
   std::merge(due_.begin(), due_.end(), always_awake_.begin(),
              always_awake_.end(), cohort_.begin());
+}
+
+void Simulation::publish_changes() {
+  // changed_ holds the visited nodes, ascending; neither list below can
+  // meet them (crashed nodes are never visited).
+  const auto visited = static_cast<std::ptrdiff_t>(changed_.size());
+  for (const NodeId id : unvisited_activations_) {
+    changed_.push_back(
+        NodeChange{id, protocols_[static_cast<size_t>(id)]->role()});
+  }
+  for (const NodeId id : crashed_since_step_) {
+    changed_.push_back(NodeChange{id, Role::kCrashed});
+  }
+  crashed_since_step_.clear();
+  if (changed_.end() - changed_.begin() > visited) {
+    std::sort(changed_.begin() + visited, changed_.end());
+    std::inplace_merge(changed_.begin(), changed_.begin() + visited,
+                       changed_.end());
+  }
 }
 
 RoundReport Simulation::step_sparse() {
@@ -441,6 +467,7 @@ RoundReport Simulation::step_sparse() {
 
   // (5) Deliver, close the round for the cohort, requeue its wake events.
   int deliveries = 0;
+  changed_.clear();
   for (NodeId i : cohort_) {
     const auto ni = static_cast<size_t>(i);
 
@@ -474,6 +501,8 @@ RoundReport Simulation::step_sparse() {
     }
     node_last_output_[ni] = out;
     node_settled_[ni] = r + 1;
+    // Read while the protocol is hot in cache, for the verifier.
+    changed_.push_back(NodeChange{i, protocols_[ni]->role()});
 
     if (node_sparse_[ni] != 0) {
       const std::optional<int64_t> horizon = protocols_[ni]->asleep_for();
@@ -487,6 +516,7 @@ RoundReport Simulation::step_sparse() {
   }
   stats.deliveries = deliveries;
   energy_.end_round_lazy();
+  publish_changes();
 
   // (6) Publish history for the adversary and the trace.
   view_.last_round_ = stats;
@@ -527,12 +557,16 @@ void Simulation::settle_node(NodeId id) const {
   // Logically const: replaying asleep rounds reproduces exactly the state
   // the dense engine would already have materialized.
   auto* self = const_cast<Simulation*>(this);
-  self->protocols_[ni]->skip_rounds(now - node_settled_[ni]);
+  const RoundId skipped = now - node_settled_[ni];
+  self->protocols_[ni]->skip_rounds(skipped);
   self->node_settled_[ni] = now;
   const SyncOutput out = protocols_[ni]->output();
-  WSYNC_CHECK(out.has_number() == node_last_output_[ni].has_number(),
-              "output().has_number() changed across asleep rounds — the "
-              "protocol violates the sparse-engine contract");
+  const SyncOutput before = node_last_output_[ni];
+  WSYNC_CHECK(before.has_number() ? out.value == before.value + skipped
+                                  : out.is_bottom(),
+              "output() across asleep rounds must hold ⊥ or advance by one "
+              "per round — the protocol violates the sparse-engine "
+              "contract");
   self->node_last_output_[ni] = out;
 }
 
@@ -603,31 +637,25 @@ Simulation::MaintenanceReport Simulation::run_maintenance(
 
   MaintenanceReport report;
   const int64_t corrections_before = total_corrections();
+  // Output spread over live synchronized nodes, every round: a violation in
+  // ANY round must be caught, so no fast-forwarding. Offsets are read once
+  // per node here (settling sparse nodes, so both engines observe identical
+  // values) and afterwards only for the nodes each step changed.
+  auto offset_of = [this](NodeId id) {
+    if (!is_active(id) || is_crashed(id)) return OffsetTracker::kNone;
+    const SyncOutput out = output(id);
+    return out.has_number() ? out.value - round() : OffsetTracker::kNone;
+  };
+  OffsetTracker offsets(config_.n);
+  for (NodeId id = 0; id < config_.n; ++id) offsets.set(id, offset_of(id));
   for (RoundId i = 0; i < horizon; ++i) {
     step();
     ++report.rounds;
-    // Output spread over live synchronized nodes this round. output()
-    // settles sparse nodes, so both engines observe identical values; the
-    // per-round full scan is the point of this mode — a violation in ANY
-    // round must be caught, so no fast-forwarding.
-    int64_t lowest = 0;
-    int64_t highest = 0;
-    bool any = false;
-    for (NodeId id = 0; id < config_.n; ++id) {
-      const auto ni = static_cast<size_t>(id);
-      if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
-      const SyncOutput out = output(id);
-      if (!out.has_number()) continue;
-      if (!any) {
-        lowest = highest = out.value;
-        any = true;
-      } else {
-        lowest = std::min(lowest, out.value);
-        highest = std::max(highest, out.value);
-      }
+    for (const NodeChange& change : changed_) {
+      offsets.set(change.id, offset_of(change.id));
     }
-    if (any) {
-      const int64_t spread = highest - lowest;
+    if (offsets.numbered() > 0) {
+      const int64_t spread = offsets.spread();
       report.max_offset_seen = std::max(report.max_offset_seen, spread);
       if (offset_bound >= 0 && spread > offset_bound) {
         ++report.offset_violations;
@@ -636,16 +664,6 @@ Simulation::MaintenanceReport Simulation::run_maintenance(
   }
   report.resync_count = total_corrections() - corrections_before;
   return report;
-}
-
-bool Simulation::is_active(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  return node_active_[static_cast<size_t>(id)] != 0;
-}
-
-bool Simulation::is_crashed(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  return node_crashed_[static_cast<size_t>(id)] != 0;
 }
 
 RoundId Simulation::activation_round(NodeId id) const {
@@ -726,6 +744,16 @@ void Simulation::crash(NodeId id) {
   }
   node_crashed_[ni] = 1;
   ++crashed_count_;
+  // Reported by the next step, and by changed_nodes() already if a step
+  // ran before this crash.
+  crashed_since_step_.push_back(id);
+  const NodeChange change{id, Role::kCrashed};
+  const auto at = std::lower_bound(changed_.begin(), changed_.end(), change);
+  if (at != changed_.end() && at->id == id) {
+    at->role = Role::kCrashed;
+  } else {
+    changed_.insert(at, change);
+  }
   if (trace_ != nullptr) trace_->on_crash(view_.round_, id);
 }
 

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "src/adversary/adversary.h"
+#include "src/common/require.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/drift/drift.h"
@@ -83,6 +84,18 @@ struct RoundReport {
 
   friend constexpr bool operator==(const RoundReport&,
                                    const RoundReport&) = default;
+};
+
+/// One entry of Simulation::changed_nodes(): a node whose output, role or
+/// liveness may have changed, with the role it holds now (kCrashed once
+/// crashed). Ordered by id.
+struct NodeChange {
+  NodeId id = kNoNode;
+  Role role = Role::kInactive;
+
+  friend constexpr bool operator<(const NodeChange& a, const NodeChange& b) {
+    return a.id < b.id;
+  }
 };
 
 /// Bucketed round → awake-set index driving the sparse engine: a ring of
@@ -199,8 +212,10 @@ class Simulation {
   /// `offset_bound` (< 0 = chart only, never count a violation). Under
   /// clock drift (SimConfig::drift) nodes slide apart between the resync
   /// beacons that re-align them; resync_count totals those corrections
-  /// (Protocol::resync_corrections deltas). Bit-identical across the dense
-  /// and sparse engines: every node is settled before its output is read.
+  /// (Protocol::resync_corrections deltas). The spread comes from an
+  /// OffsetTracker seeded once from every node and then updated from
+  /// changed_nodes() only, so a round costs O(changed), not O(n);
+  /// bit-identical across the dense and sparse engines.
   MaintenanceReport run_maintenance(RoundId horizon, int64_t offset_bound);
 
   // --- observers -----------------------------------------------------------
@@ -225,14 +240,27 @@ class Simulation {
   int64_t wake_events_popped() const { return wake_events_popped_; }
   /// Number of completed rounds (== index of the next round to execute).
   RoundId round() const { return view_.round(); }
+  /// The nodes whose output, role or liveness may have changed since the
+  /// step() before the last one returned, by ascending id: the last step's
+  /// visited cohort (every live node on the dense engine) and activations,
+  /// plus every node crashed since then. By the sparse contract no other
+  /// node's role or has_number() moved, and a numbered output of any other
+  /// node advanced by exactly one per round. Empty before the first step().
+  const std::vector<NodeChange>& changed_nodes() const { return changed_; }
   /// Activated nodes still participating, i.e. excluding crashed nodes —
   /// the same accounting view().active_count() publishes after each round.
   int active_count() const { return active_count_ - crashed_count_; }
   int crashed_count() const { return crashed_count_; }
   int activated_total() const { return activated_total_; }
 
-  bool is_active(NodeId id) const;
-  bool is_crashed(NodeId id) const;
+  bool is_active(NodeId id) const {
+    WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
+    return node_active_[static_cast<size_t>(id)] != 0;
+  }
+  bool is_crashed(NodeId id) const {
+    WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
+    return node_crashed_[static_cast<size_t>(id)] != 0;
+  }
   /// Round the node was activated, or -1.
   RoundId activation_round(NodeId id) const;
   /// First round the node output a number, or -1.
@@ -275,6 +303,9 @@ class Simulation {
   /// Builds this round's cohort (due wake events + always-visited nodes) in
   /// ascending node-id order into cohort_.
   void build_cohort(RoundId r);
+  /// Ends a step: adds unvisited_activations_ and crashed_since_step_ to
+  /// the visited nodes already in changed_.
+  void publish_changes();
   /// Jumps over rounds in which provably nothing happens; leaves
   /// view_.round_ at the first round that needs execution (capped at
   /// `max_rounds`).
@@ -328,6 +359,11 @@ class Simulation {
   RoundId fast_forwarded_rounds_ = 0;
   std::vector<NodeId> due_;     // scratch: events collected this round
   std::vector<NodeId> cohort_;  // scratch: nodes visited this round
+
+  // Changed-node list (see changed_nodes()); sized by the cohort, never n.
+  std::vector<NodeId> unvisited_activations_;  ///< asleep from activation
+  std::vector<NodeId> crashed_since_step_;     ///< crash() calls since a step
+  std::vector<NodeChange> changed_;
 
   EngineView view_;
   EnergyLedger energy_;

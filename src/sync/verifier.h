@@ -11,14 +11,23 @@
 //
 // The verifier additionally tracks leader multiplicity (the paper's
 // Theorem 10/15 argument: at most one contender becomes leader, whp).
+//
+// Cost: the first observe() reads every node; each later one reads only
+// Simulation::changed_nodes(). Every other node kept its role and
+// has_number(), and its number advanced by exactly one (the sparse
+// contract), so it cannot have broken a property and its offset
+// (output − round) is unchanged. Per-offset node counts then give
+// Agreement without a scan.
 #ifndef WSYNC_SYNC_VERIFIER_H_
 #define WSYNC_SYNC_VERIFIER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/radio/engine.h"
+#include "src/radio/offset_tracker.h"
 
 namespace wsync {
 
@@ -34,14 +43,18 @@ class SyncVerifier {
  public:
   explicit SyncVerifier(VerifierConfig config = {});
 
-  /// Call once after every Simulation::step().
+  /// Call once after every Simulation::step(): each call after the first
+  /// requires exactly one step() of the same Simulation since the previous
+  /// one (no fast-forward in between), so no round goes unseen.
   void observe(const Simulation& sim);
 
   struct Report {
     int64_t rounds_observed = 0;
     int64_t synch_commit_violations = 0;
     int64_t correctness_violations = 0;
-    int64_t agreement_violations = 0;  ///< rounds with >=2 distinct numbers
+    /// Summed over rounds: the live numbered nodes whose number differs
+    /// from that of the lowest-id live numbered node.
+    int64_t agreement_violations = 0;
     int max_simultaneous_leaders = 0;
     int64_t resyncs_observed = 0;  ///< output returned to ⊥ (allow_resync)
 
@@ -56,10 +69,19 @@ class SyncVerifier {
   const Report& report() const { return report_; }
 
  private:
+  /// Checks node `id`'s current output against its recorded offset, then
+  /// records the new offset and whether `role` (its role now) is leader.
+  void check_node(const Simulation& sim, NodeId id, Role role);
+
   VerifierConfig config_;
   Report report_;
-  std::vector<SyncOutput> prev_;
-  bool first_observation_ = true;
+  // Incremental state, allocated at the first observe().
+  const Simulation* sim_ = nullptr;
+  RoundId last_round_ = 0;
+  RoundId last_fast_forwarded_ = 0;
+  std::optional<OffsetTracker> offsets_;
+  std::vector<char> leader_;  ///< per node: live with Role::kLeader
+  int leaders_ = 0;
 };
 
 }  // namespace wsync

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -90,6 +91,44 @@ TEST(LocalClockTest, ExtremeRatesBoundTheClockWithinTwoXAndZero) {
   }
   EXPECT_EQ(local_clock(1'000'000, 999'999), 2 * 1'000'000 - 1);
   EXPECT_EQ(local_clock(1'000'000, -999'999), 1);
+}
+
+TEST(NextSkewChangeTest, MatchesABruteForceScan) {
+  // The duty-cycle protocol caps its sleep horizon with this, so the
+  // sparse engine visits every round in which a sleeper's clock steps +0
+  // or +2; an off-by-one here skips exactly that round.
+  const int64_t rates[] = {1,        -1,       7,       -7,      200,
+                           -200,     120'000, -120'000, 333'333, -333'333,
+                           999'999, -999'999};
+  constexpr int64_t kLastAge = 3'000;
+  for (const int64_t rate : rates) {
+    // One forward walk per rate: every age at which the skew changes, up to
+    // the first one past kLastAge (a million ages out at 1 ppm).
+    std::vector<int64_t> changes;
+    for (int64_t a = 1; changes.empty() || changes.back() <= kLastAge; ++a) {
+      if (drift_skew(a, rate) != drift_skew(a - 1, rate)) changes.push_back(a);
+    }
+    size_t next = 0;
+    for (int64_t age = 0; age <= kLastAge; ++age) {
+      while (changes[next] <= age) ++next;
+      ASSERT_EQ(next_skew_change(age, rate), changes[next])
+          << "rate " << rate << " age " << age;
+    }
+  }
+}
+
+TEST(NextSkewChangeTest, ZeroRateNeverChangesAndHugeAgesStayExact) {
+  EXPECT_EQ(next_skew_change(0, 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(next_skew_change(123'456, 0),
+            std::numeric_limits<int64_t>::max());
+  const int64_t age = int64_t{1} << 50;
+  for (const int64_t rate : {int64_t{3}, int64_t{-3}, int64_t{999'999}}) {
+    const int64_t next = next_skew_change(age, rate);
+    EXPECT_GT(next, age);
+    EXPECT_NE(drift_skew(next, rate), drift_skew(age, rate));
+    EXPECT_EQ(drift_skew(next - 1, rate), drift_skew(age, rate));
+  }
+  EXPECT_THROW(next_skew_change(-1, 100), std::invalid_argument);
 }
 
 TEST(DrawDriftRatesTest, ZeroPpmDrawsNothingAndReturnsEmpty) {

@@ -79,16 +79,28 @@ TEST(WakeScheduleTest, SteadyStateIsRowPlusColumnOfTheGrid) {
 }
 
 TEST(WakeScheduleTest, AwakeRoundsBeforeMatchesBruteForce) {
-  Rng rng(3);
-  const WakeSchedule schedule(256, rng);
-  int64_t count = 0;
-  const int64_t horizon = schedule.ladder_rounds() + 3 * schedule.period();
-  for (int64_t age = 0; age < horizon; ++age) {
-    ASSERT_EQ(schedule.awake_rounds_before(age), count) << "age " << age;
-    if (schedule.awake(age)) ++count;
+  // Every grid side from the smallest (s = 4) to N = 1e6 (s = 32), several
+  // row/column draws each, over the whole ladder and five steady periods —
+  // so every tail position of the closed-form steady count is hit.
+  for (const int64_t N : {int64_t{1}, int64_t{16}, int64_t{256},
+                          int64_t{4096}, int64_t{100'000},
+                          int64_t{1'000'000}}) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{0x5EED},
+                                uint64_t{0xC0FFEE}, uint64_t{77}}) {
+      Rng rng(seed);
+      const WakeSchedule schedule(N, rng);
+      int64_t count = 0;
+      const int64_t horizon =
+          schedule.ladder_rounds() + 5 * schedule.period();
+      for (int64_t age = 0; age < horizon; ++age) {
+        ASSERT_EQ(schedule.awake_rounds_before(age), count)
+            << "N " << N << " seed " << seed << " age " << age;
+        if (schedule.awake(age)) ++count;
+      }
+      EXPECT_EQ(schedule.ladder_awake_rounds(),
+                schedule.awake_rounds_before(schedule.ladder_rounds()));
+    }
   }
-  EXPECT_EQ(schedule.ladder_awake_rounds(),
-            schedule.awake_rounds_before(schedule.ladder_rounds()));
 }
 
 /// The proven window: two schedules for the same N, ANY activation offset,

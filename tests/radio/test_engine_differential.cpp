@@ -10,11 +10,16 @@
 //     crashes) via MemoryTrace;
 //   * every observer (outputs, roles, sync/activation rounds, counters);
 //   * the EnergyLedger, per node and in aggregate;
-//   * run_sync_experiment outcomes and PointResult aggregates.
+//   * run_sync_experiment outcomes and PointResult aggregates;
+//   * the event-driven observers against their full-scan oracles
+//     (tests/testing/full_scan_oracle.h), round by round: SyncVerifier on
+//     the sparse engine against FullScanVerifier on the dense one, and
+//     run_maintenance's spread against a scan of the dense twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +31,8 @@
 #include "src/radio/engine.h"
 #include "src/radio/trace.h"
 #include "src/sync/runner.h"
+#include "src/sync/verifier.h"
+#include "tests/testing/full_scan_oracle.h"
 #include "tests/testing/point_results.h"
 #include "tests/testing/sim_builder.h"
 
@@ -79,11 +86,18 @@ void crash_highest_live(EnginePair& sims) {
 
 void run_differential(const DiffCase& c) {
   TracedPair pair = make_pair(c);
+  const VerifierConfig verifier_config = make_run_spec(c.point).verifier;
+  testing::FullScanVerifier oracle(verifier_config);
+  SyncVerifier verifier(verifier_config);
   for (RoundId r = 0; r < c.rounds; ++r) {
     if (c.crash && r == c.rounds / 3 && pair.sims.dense->active_count() >= 2) {
       crash_highest_live(pair.sims);
     }
     pair.sims.step();
+    oracle.observe(*pair.sims.dense);
+    verifier.observe(*pair.sims.sparse);
+    ASSERT_TRUE(testing::same_report(oracle.report(), verifier.report()))
+        << "round " << r;
     if (::testing::Test::HasFailure()) {
       FAIL() << "engines diverged at round " << r;
     }
@@ -368,6 +382,76 @@ TEST(EngineDifferentialTest, MaintenanceReportsMatchAcrossEngines) {
         << "node " << id;
   }
 }
+
+class MaintenanceSpreadWall : public ::testing::TestWithParam<int> {};
+
+TEST_P(MaintenanceSpreadWall, SpreadMatchesAFullScanOfTheDenseTwin) {
+  // run_maintenance reads every node once per call, then only
+  // changed_nodes(). Against a dense twin scanned in full every round:
+  //   * 1-round calls on one sparse twin must report each round's spread;
+  //   * single long calls on further sparse twins, one per offset bound,
+  //     must report the same maximum and, per bound, the number of rounds
+  //     whose spread exceeded it — the whole spread histogram of a run
+  //     that never re-reads a sleeping node.
+  ExperimentPoint point;
+  point.F = 16;
+  point.t = 4;
+  point.n = 8;
+  point.N = 64;
+  point.protocol = ProtocolKind::kDutyCycle;
+  point.adversary = AdversaryKind::kRandomSubset;
+  point.activation = ActivationKind::kStaggeredUniform;
+  point.activation_window = 32;
+  point.drift_ppm = GetParam();
+  point.resync_awake_slots = 8;
+  RunSpec spec = make_run_spec(point);
+  spec.sim.seed = 0x5B8EAD;
+  auto build = [&](EngineMode mode) {
+    SimConfig config = spec.sim;
+    config.engine = mode;
+    auto sim = std::make_unique<Simulation>(config, spec.factory,
+                                            spec.make_adversary(),
+                                            spec.make_activation());
+    sim->run_until_synced(spec.max_rounds);
+    return sim;
+  };
+  constexpr RoundId kRounds = 3000;
+  const int64_t bounds[] = {0, 1, 2, 3, 5, 8, 13, 21, 34};
+
+  auto dense = build(EngineMode::kDense);
+  auto per_round = build(EngineMode::kSparse);
+  ASSERT_EQ(dense->round(), per_round->round());
+  std::vector<int64_t> spreads;  // per round; -1 = no numbered node
+  for (RoundId r = 0; r < kRounds; ++r) {
+    dense->step();
+    const std::optional<int64_t> spread = testing::full_scan_spread(*dense);
+    spreads.push_back(spread.value_or(-1));
+    const Simulation::MaintenanceReport report =
+        per_round->run_maintenance(1, /*offset_bound=*/0);
+    ASSERT_EQ(report.max_offset_seen, spread.value_or(0)) << "round " << r;
+    ASSERT_EQ(report.offset_violations, spread.value_or(0) > 0 ? 1 : 0)
+        << "round " << r;
+  }
+  const int64_t max_spread = *std::max_element(spreads.begin(), spreads.end());
+  if (GetParam() > 0) {
+    EXPECT_GT(max_spread, 0);  // drift did spread them
+  }
+
+  for (const int64_t bound : bounds) {
+    auto whole = build(EngineMode::kSparse);
+    const Simulation::MaintenanceReport report =
+        whole->run_maintenance(kRounds, bound);
+    EXPECT_EQ(report.max_offset_seen, std::max<int64_t>(max_spread, 0))
+        << "bound " << bound;
+    EXPECT_EQ(report.offset_violations,
+              std::count_if(spreads.begin(), spreads.end(),
+                            [&](int64_t spread) { return spread > bound; }))
+        << "bound " << bound;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ppm, MaintenanceSpreadWall,
+                         ::testing::Values(0, 200, 120'000));
 
 TEST(EngineDifferentialTest, MaintenanceOutcomesMatchThroughRunner) {
   // Same property one layer up: the serial oracle with a maintenance phase

@@ -23,7 +23,10 @@
 //   * engine equivalence: every tuple also runs a dense-engine twin in
 //     lockstep with the (sparse-by-default) primary sim, asserting
 //     bit-identical RoundReports per round and identical ledger/observer
-//     state at the end — the fuzz arm of the differential wall.
+//     state at the end — the fuzz arm of the differential wall;
+//   * verifier equivalence: the event-driven SyncVerifier on the primary
+//     sim reports exactly what the full-scan oracle reports on the dense
+//     twin, after every round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +41,7 @@
 #include "src/scenario/scenario.h"
 #include "src/sync/runner.h"
 #include "src/sync/verifier.h"
+#include "tests/testing/full_scan_oracle.h"
 
 namespace wsync {
 namespace {
@@ -170,6 +174,7 @@ TEST_P(ScenarioFuzz, EngineInvariantsHoldForRandomTuples) {
   Simulation dense(dense_config, spec.factory, spec.make_adversary(),
                    spec.make_activation());
   SyncVerifier verifier(spec.verifier);
+  testing::FullScanVerifier oracle(spec.verifier);
 
   const RoundId rounds =
       std::min<RoundId>(spec.max_rounds, 600);  // short executions
@@ -192,6 +197,9 @@ TEST_P(ScenarioFuzz, EngineInvariantsHoldForRandomTuples) {
     const RoundReport dense_report = dense.step();
     ASSERT_EQ(report, dense_report) << "engines diverged at round " << r;
     verifier.observe(sim);
+    oracle.observe(dense);
+    ASSERT_TRUE(testing::same_report(oracle.report(), verifier.report()))
+        << "round " << r;
 
     const RoundTraceEvent& event = trace.rounds().back();
     ASSERT_EQ(event.round, r);

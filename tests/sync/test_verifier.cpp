@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/adversary/basic.h"
 #include "tests/testing/fake_protocol.h"
+#include "tests/testing/full_scan_oracle.h"
 
 namespace wsync {
 namespace {
@@ -104,6 +107,120 @@ TEST(SyncVerifierTest, DetectsAgreementViolation) {
   drive(sim, verifier, 3);
   EXPECT_EQ(verifier.report().agreement_violations, 3);
   EXPECT_FALSE(verifier.report().ok());
+}
+
+TEST(SyncVerifierTest, AgreementCountsNodesOffTheLowestIdNumber) {
+  // Per round, the count is the live numbered nodes whose number differs
+  // from the lowest-id numbered node's — not "rounds with >= 2 distinct
+  // numbers" (which would read 1 per round for both layouts below).
+  auto minority_first = make_sim({{0, {10, 11, 12}},
+                                  {1, {20, 21, 22}},
+                                  {2, {20, 21, 22}}});
+  SyncVerifier first;
+  drive(minority_first, first, 3);
+  EXPECT_EQ(first.report().agreement_violations, 2 * 3);
+
+  auto majority_first = make_sim({{0, {20, 21, 22}},
+                                  {1, {20, 21, 22}},
+                                  {2, {10, 11, 12}}});
+  SyncVerifier second;
+  drive(majority_first, second, 3);
+  EXPECT_EQ(second.report().agreement_violations, 1 * 3);
+}
+
+TEST(SyncVerifierTest, ObserveRequiresExactlyOneStepPerCall) {
+  auto sim = make_sim({{0, {10, 11, 12, 13}}});
+  SyncVerifier verifier;
+  sim.step();
+  sim.step();
+  verifier.observe(sim);  // the first call may follow any number of steps
+  EXPECT_THROW(verifier.observe(sim), std::invalid_argument);  // no step
+  sim.step();
+  sim.step();
+  EXPECT_THROW(verifier.observe(sim), std::invalid_argument);  // two steps
+
+  auto other = make_sim({{0, {10, 11, 12, 13}}});
+  SyncVerifier fresh;
+  sim.step();
+  fresh.observe(sim);
+  for (int i = 0; i < 6; ++i) other.step();  // one round past `sim`
+  EXPECT_THROW(fresh.observe(other), std::invalid_argument);  // other sim
+}
+
+/// A leader from activation whose radio stays off for its first rounds:
+/// the sparse engine does not visit it in the round it wakes up. It numbers
+/// itself on its first awake round, as the sparse contract requires.
+class SleepyLeader final : public Protocol {
+ public:
+  void on_activate(Rng&) override {}
+  RoundAction act(Rng&) override {
+    return age_ < kAsleep ? RoundAction::sleep() : RoundAction::listen(0);
+  }
+  void on_round_end(const std::optional<Message>&, Rng&) override { ++age_; }
+  SyncOutput output() const override {
+    return age_ > kAsleep ? SyncOutput{100 + age_} : SyncOutput{};
+  }
+  Role role() const override { return Role::kLeader; }
+  std::optional<int64_t> asleep_for() const override {
+    return std::max<int64_t>(kAsleep - age_, 0);
+  }
+  void skip_rounds(int64_t rounds) override { age_ += rounds; }
+
+ private:
+  static constexpr int64_t kAsleep = 3;
+  int64_t age_ = 0;
+};
+
+TEST(SyncVerifierTest, CountsNodesActivatedAsleepInTheirFirstRound) {
+  // changed_nodes() must carry an activation the engine did not visit, or
+  // the leader it adds goes uncounted until its first wake.
+  SimConfig config;
+  config.F = 2;
+  config.n = 3;
+  config.N = 3;
+  auto build = [&](EngineMode mode) {
+    SimConfig c = config;
+    c.engine = mode;
+    return Simulation(
+        c, [](const ProtocolEnv&) { return std::make_unique<SleepyLeader>(); },
+        std::make_unique<NoneAdversary>(),
+        std::make_unique<SequentialActivation>(config.n, 2));
+  };
+  Simulation dense = build(EngineMode::kDense);
+  Simulation sparse = build(EngineMode::kSparse);
+  testing::FullScanVerifier oracle;
+  SyncVerifier verifier;
+  for (int round = 0; round < 12; ++round) {
+    dense.step();
+    sparse.step();
+    oracle.observe(dense);
+    verifier.observe(sparse);
+    ASSERT_TRUE(testing::same_report(oracle.report(), verifier.report()))
+        << "round " << round;
+    if (round == 0) {
+      EXPECT_EQ(verifier.report().max_simultaneous_leaders, 1);
+    }
+  }
+  EXPECT_EQ(verifier.report().max_simultaneous_leaders, 3);
+  EXPECT_GT(verifier.report().agreement_violations, 0);
+}
+
+TEST(SyncVerifierTest, SeesACrashBetweenStepAndObserve) {
+  // changed_nodes() also carries a node crashed after the step it reports
+  // on; node 0 is the lone off-number node, so missing its crash would keep
+  // counting it against the other two.
+  auto sim = make_sim({{0, {10, 11, 12, 13}},
+                       {1, {20, 21, 22, 23}},
+                       {2, {20, 21, 22, 23}}});
+  SyncVerifier verifier;
+  drive(sim, verifier, 2);
+  EXPECT_EQ(verifier.report().agreement_violations, 2 * 2);
+  sim.step();
+  sim.crash(0);
+  verifier.observe(sim);
+  EXPECT_EQ(verifier.report().agreement_violations, 2 * 2);
+  drive(sim, verifier, 1);
+  EXPECT_EQ(verifier.report().agreement_violations, 2 * 2);
 }
 
 TEST(SyncVerifierTest, BottomNodesDoNotBreakAgreement) {
