@@ -1,18 +1,22 @@
 #include "src/common/thread_pool.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
+#include "src/common/require.h"
 #include "src/telemetry/stopwatch.h"
 
 namespace wsync {
 
 int ThreadPool::default_workers() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : static_cast<int>(std::min(hw, unsigned{kMaxWorkers}));
 }
 
 ThreadPool::ThreadPool(int workers) {
+  WSYNC_REQUIRE(workers <= kMaxWorkers,
+                "thread pool size exceeds ThreadPool::kMaxWorkers");
   const int count = workers <= 0 ? default_workers() : workers;
   queues_.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {

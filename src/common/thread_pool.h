@@ -31,7 +31,12 @@ namespace wsync {
 
 class ThreadPool {
  public:
+  /// Largest pool size accepted; more is a mistyped size, not a machine.
+  static constexpr int kMaxWorkers = 1024;
+
   /// Spawns `workers` threads; `workers <= 0` means default_workers().
+  /// Throws std::invalid_argument, before starting any thread, when
+  /// `workers` exceeds kMaxWorkers.
   explicit ThreadPool(int workers = 0);
 
   /// Finishes every queued task, then joins the workers.
@@ -53,7 +58,7 @@ class ThreadPool {
   /// unfinished task and deadlock.
   void wait_idle();
 
-  /// Hardware concurrency, at least 1.
+  /// Hardware concurrency, clamped to [1, kMaxWorkers].
   static int default_workers();
 
   /// Pool telemetry (MetricClass::kTiming only: counts depend on the thread

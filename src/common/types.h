@@ -89,18 +89,18 @@ struct CrashWave {
                                    const CrashWave&) = default;
 };
 
-/// Which round-loop implementation the simulation engine runs.
+/// The policy around the engine's one round body (Simulation::step()).
 ///
-/// kDense is the reference loop: every node is visited every round. kSparse
-/// drives a wake-event queue so per-round cost scales with the awake cohort;
-/// it is required to be bit-identical to kDense for every execution (the
-/// dense↔sparse equivalence contract in docs/ARCHITECTURE.md). kAuto picks
-/// the sparse engine, which transparently degrades to a dense-equivalent
-/// walk for always-on protocols.
+/// kDense is the reference: it asks no protocol for a wake prediction, so
+/// every live node is visited and strictly billed every round. kSparse asks
+/// at activation and drives a wake-event queue, a lazy ledger and idle
+/// fast-forward, so per-round cost scales with the awake cohort; it must be
+/// bit-identical to kDense on every execution (the equivalence contract in
+/// docs/ARCHITECTURE.md). kAuto resolves to kSparse.
 enum class EngineMode : uint8_t {
-  kAuto,    ///< sparse machinery; dense-equivalent for always-on protocols
-  kDense,   ///< reference per-node round loop
-  kSparse,  ///< wake-event queue over SoA node state
+  kAuto,    ///< resolves to kSparse
+  kDense,   ///< no wake prediction: every live node visited every round
+  kSparse,  ///< wake-event queue, lazy ledger, fast-forward
 };
 
 /// Printable name for an engine mode (stable, for CLI flags and tests).

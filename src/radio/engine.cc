@@ -111,22 +111,21 @@ void Simulation::activate_pending(RoundId r) {
     protocols_[i]->on_activate(node_rng_[i]);
     ++active_count_;
     ++activated_total_;
-    if (sparse_) {
-      node_settled_[i] = r;
-      const std::optional<int64_t> horizon = protocols_[i]->asleep_for();
-      if (!horizon.has_value()) {
-        // No wake prediction: keep the node on the always-visited list
-        // (sorted by id; activations can arrive in any order).
-        always_awake_.insert(
-            std::lower_bound(always_awake_.begin(), always_awake_.end(), id),
-            id);
-      } else {
-        node_sparse_[i] = 1;
-        if (*horizon != kAsleepForever) {
-          wake_queue_.schedule(r, r + *horizon, id);
-        }
-        if (*horizon > 0) unvisited_activations_.push_back(id);
+    node_settled_[i] = r;
+    const std::optional<int64_t> horizon =
+        sparse_ ? protocols_[i]->asleep_for() : std::nullopt;
+    if (!horizon.has_value()) {
+      // No wake prediction (dense asks for none): keep the node on the
+      // always-visited list (sorted by id; activations arrive in any order).
+      always_awake_.insert(
+          std::lower_bound(always_awake_.begin(), always_awake_.end(), id),
+          id);
+    } else {
+      node_sparse_[i] = 1;
+      if (*horizon != kAsleepForever) {
+        wake_queue_.schedule(r, r + *horizon, id);
       }
+      if (*horizon > 0) unvisited_activations_.push_back(id);
     }
     if (trace_ != nullptr) trace_->on_activation(r, id);
   }
@@ -147,181 +146,11 @@ std::vector<Frequency> Simulation::validated_disruption() {
   return disrupted;
 }
 
-RoundReport Simulation::step() {
-  return sparse_ ? step_sparse() : step_dense();
-}
-
-RoundReport Simulation::step_dense() {
-  const RoundId r = view_.round_;
-
-  // (1) Adversary commits its disruption before seeing round-r choices.
-  std::vector<Frequency> disrupted = validated_disruption();
-
-  // (2) Adversary activates nodes for this round.
-  activate_pending(r);
-  const int activations_this_round = view_.last_round_.activations;
-
-  // (3) Collect node actions.
-  std::fill(broadcaster_count_.begin(), broadcaster_count_.end(), 0);
-  std::fill(sole_broadcaster_.begin(), sole_broadcaster_.end(), kNoNode);
-  std::fill(disrupted_flag_.begin(), disrupted_flag_.end(), 0);
-  for (Frequency f : disrupted) disrupted_flag_[static_cast<size_t>(f)] = 1;
-
-  RoundStats stats;
-  stats.round = r;
-  stats.per_freq.assign(static_cast<size_t>(config_.F), FreqRoundStats{});
-  for (int f = 0; f < config_.F; ++f) {
-    stats.per_freq[static_cast<size_t>(f)].disrupted =
-        disrupted_flag_[static_cast<size_t>(f)] != 0;
-  }
-  stats.activations = activations_this_round;
-
-  // Whitespace masks only exist for availability-restricting adversaries;
-  // skip the per-(node, frequency) queries entirely otherwise.
-  const bool masked = adversary_->restricts_availability();
-
-  double weight = 0.0;
-  int broadcasters_total = 0;
-  int absences_total = 0;
-  for (int i = 0; i < config_.n; ++i) {
-    const auto ni = static_cast<size_t>(i);
-    node_freq_[ni] = kNoFrequency;
-    node_broadcast_[ni] = 0;
-    node_reached_[ni] = 0;
-    if (node_active_[ni] == 0 || node_crashed_[ni] != 0) {
-      energy_.record(i, RadioState::kSleep);
-      continue;
-    }
-
-    weight += protocols_[ni]->broadcast_probability();
-    RoundAction action = protocols_[ni]->act(node_rng_[ni]);
-    WSYNC_REQUIRE(action.broadcast == action.payload.has_value(),
-                  "broadcast implies payload and listen implies none");
-    if (action.is_sleep()) {
-      // Radio powered down: no channel contact either way, sleep energy.
-      energy_.record(i, RadioState::kSleep);
-      continue;
-    }
-    WSYNC_REQUIRE(action.frequency >= 0 && action.frequency < config_.F,
-                  "protocol chose a frequency outside [0, F)");
-    node_freq_[ni] = action.frequency;
-    node_broadcast_[ni] = action.broadcast ? 1 : 0;
-    energy_.record(i, action.broadcast ? RadioState::kBroadcast
-                                       : RadioState::kListen);
-
-    const auto fi = static_cast<size_t>(action.frequency);
-    FreqRoundStats& fs = stats.per_freq[fi];
-    // Whitespace: a choice on a channel absent for this node burns energy
-    // but never touches the channel — no collision, no reception.
-    node_reached_[ni] =
-        (!masked || adversary_->channel_available(i, action.frequency)) ? 1
-                                                                        : 0;
-    if (node_reached_[ni] == 0) {
-      ++fs.absent;
-      ++absences_total;
-      continue;
-    }
-    if (action.broadcast) {
-      ++broadcasters_total;
-      ++fs.broadcasters;
-      ++broadcaster_count_[fi];
-      if (broadcaster_count_[fi] == 1) {
-        sole_broadcaster_[fi] = i;
-        pending_payload_[fi] = std::move(*action.payload);
-      } else {
-        sole_broadcaster_[fi] = kNoNode;  // collision
-      }
-    } else {
-      ++fs.listeners;
-      ++view_.listens_per_freq_[fi];
-    }
-  }
-
-  // (4) Per-frequency resolution: exactly one broadcaster, not disrupted.
-  int collisions_this_round = 0;
-  for (int f = 0; f < config_.F; ++f) {
-    const auto fi = static_cast<size_t>(f);
-    FreqRoundStats& fs = stats.per_freq[fi];
-    fs.delivered = fs.broadcasters == 1 && !fs.disrupted;
-    if (fs.broadcasters >= 2) ++collisions_this_round;
-  }
-
-  // (5) Deliver and close the round for every active node.
-  int deliveries = 0;
-  changed_.clear();
-  for (int i = 0; i < config_.n; ++i) {
-    const auto ni = static_cast<size_t>(i);
-    if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
-
-    std::optional<Message> received;
-    // Reception needs a listener that actually reached its channel (neither
-    // sleeping nor excluded by a whitespace mask).
-    if (node_broadcast_[ni] == 0 && node_freq_[ni] != kNoFrequency &&
-        node_reached_[ni] != 0) {
-      const auto fi = static_cast<size_t>(node_freq_[ni]);
-      if (stats.per_freq[fi].delivered) {
-        Message m;
-        m.sender = sole_broadcaster_[fi];
-        m.frequency = node_freq_[ni];
-        m.payload = pending_payload_[fi];
-        received = std::move(m);
-        ++deliveries;
-        ++view_.deliveries_per_freq_[fi];
-        if (trace_ != nullptr) {
-          trace_->on_delivery(DeliveryTraceEvent{r, node_freq_[ni],
-                                                 sole_broadcaster_[fi], i});
-        }
-      }
-    }
-    protocols_[ni]->on_round_end(received, node_rng_[ni]);
-
-    const SyncOutput out = protocols_[ni]->output();
-    if (out.has_number() && node_sync_round_[ni] < 0) {
-      node_sync_round_[ni] = r;
-      if (trace_ != nullptr) trace_->on_synchronized(r, i, out.value);
-    }
-    node_last_output_[ni] = out;
-    changed_.push_back(NodeChange{i, protocols_[ni]->role()});
-  }
-  stats.deliveries = deliveries;
-  energy_.end_round();
-  publish_changes();
-
-  // (6) Publish history for the adversary and the trace.
-  view_.last_round_ = stats;
-  view_.round_ = r + 1;
-  view_.active_count_ = active_count_ - crashed_count_;
-
-  if (trace_ != nullptr) {
-    RoundTraceEvent event;
-    event.round = r;
-    event.disrupted = std::move(disrupted);
-    event.stats = stats;
-    event.broadcast_weight = weight;
-    event.active_nodes = active_count_ - crashed_count_;
-    trace_->on_round(event);
-  }
-
-  deliveries_total_ += deliveries;
-  collisions_total_ += collisions_this_round;
-  absences_total_ += absences_total;
-
-  RoundReport report;
-  report.round = r;
-  report.activations = activations_this_round;
-  report.deliveries = deliveries;
-  report.broadcasters = broadcasters_total;
-  report.absences = absences_total;
-  report.collisions = collisions_this_round;
-  report.broadcast_weight = weight;
-  return report;
-}
-
 void Simulation::build_cohort(RoundId r) {
   // Due wake events, minus events orphaned by crashes, plus the always-
-  // visited nodes — in ascending node id, because dense iterates nodes in id
-  // order and bit-identity needs the same float-summation order, the same
-  // first-broadcaster payload capture, and the same trace-event order.
+  // visited nodes — in ascending node id, like the dense cohort: bit-identity
+  // needs the same float-summation order, the same first-broadcaster payload
+  // capture, and the same trace-event order.
   due_.clear();
   wake_queue_.collect(r, &due_);
   wake_events_popped_ += static_cast<int64_t>(due_.size());
@@ -361,13 +190,13 @@ void Simulation::publish_changes() {
   }
 }
 
-RoundReport Simulation::step_sparse() {
+RoundReport Simulation::step() {
   const RoundId r = view_.round_;
 
-  // Phases mirror step_dense() exactly; only the iteration domain changes —
-  // the awake cohort instead of all n nodes. Everything a non-cohort node
-  // would have done this round (sleep action, ++age, implicit sleep charge)
-  // is replayed bit-identically when the node is next visited or observed.
+  // One round over the awake cohort: every live node under dense; under
+  // sparse, the due wake events plus the nodes without a prediction. What a
+  // non-cohort node would have done (sleep action, ++age, implicit sleep
+  // charge) is replayed bit-identically when it is next visited or observed.
 
   // (1) Adversary commits its disruption before seeing round-r choices.
   std::vector<Frequency> disrupted = validated_disruption();
@@ -515,7 +344,18 @@ RoundReport Simulation::step_sparse() {
     }
   }
   stats.deliveries = deliveries;
-  energy_.end_round_lazy();
+  if (sparse_) {
+    energy_.end_round_lazy();
+  } else {
+    // Strict: bill every unvisited node so end_round() checks conservation.
+    for (NodeId id = 0; id < config_.n; ++id) {
+      const auto ni = static_cast<size_t>(id);
+      if (node_active_[ni] == 0 || node_crashed_[ni] != 0) {
+        energy_.record(id, RadioState::kSleep);
+      }
+    }
+    energy_.end_round();
+  }
   publish_changes();
 
   // (6) Publish history for the adversary and the trace.
@@ -549,7 +389,6 @@ RoundReport Simulation::step_sparse() {
 }
 
 void Simulation::settle_node(NodeId id) const {
-  if (!sparse_) return;
   const auto ni = static_cast<size_t>(id);
   if (node_active_[ni] == 0 || node_crashed_[ni] != 0) return;
   const RoundId now = view_.round_;
@@ -713,17 +552,9 @@ bool Simulation::all_synced() const {
   // activated node has crashed has no witness and must not count as synced.
   const int live = active_count_ - crashed_count_;
   if (live == 0) return false;
-  if (sparse_) {
-    // has_number() is invariant across asleep rounds (sparse contract), so
-    // the counter maintained at visit/crash time is exact.
-    return synced_live_ == live;
-  }
-  for (int i = 0; i < config_.n; ++i) {
-    const auto ni = static_cast<size_t>(i);
-    if (node_active_[ni] == 0 || node_crashed_[ni] != 0) continue;
-    if (!node_last_output_[ni].has_number()) return false;
-  }
-  return true;
+  // has_number() is invariant across asleep rounds (sparse contract), so
+  // the counter maintained at visit/crash time is exact.
+  return synced_live_ == live;
 }
 
 void Simulation::crash(NodeId id) {
@@ -731,16 +562,14 @@ void Simulation::crash(NodeId id) {
   const auto ni = static_cast<size_t>(id);
   WSYNC_REQUIRE(node_active_[ni] != 0, "cannot crash a node before activation");
   if (node_crashed_[ni] != 0) return;
-  if (sparse_) {
-    // Freeze the protocol at the current round first, exactly where the
-    // dense engine stops driving it; any queued wake event is dropped
-    // lazily at collect time.
-    settle_node(id);
-    if (node_last_output_[ni].has_number()) --synced_live_;
-    if (node_sparse_[ni] == 0) {
-      always_awake_.erase(
-          std::lower_bound(always_awake_.begin(), always_awake_.end(), id));
-    }
+  // Freeze the protocol at the current round first, exactly where a visit
+  // every round would have left it; any queued wake event is dropped
+  // lazily at collect time.
+  settle_node(id);
+  if (node_last_output_[ni].has_number()) --synced_live_;
+  if (node_sparse_[ni] == 0) {
+    always_awake_.erase(
+        std::lower_bound(always_awake_.begin(), always_awake_.end(), id));
   }
   node_crashed_[ni] = 1;
   ++crashed_count_;

@@ -22,14 +22,15 @@
 //     (inactive and crashed nodes sleep; a protocol may also return
 //     RoundAction::sleep() to power down for a round).
 //
-// Two interchangeable round loops execute this model (EngineMode):
-//   * dense — the reference loop, every node visited every round;
-//   * sparse — a wake-event queue over SoA node state: only the round's
-//     awake cohort is visited, asleep spans are replayed in O(1) via
-//     Protocol::skip_rounds(), and fully-idle windows are fast-forwarded.
-//     Protocols without a wake prediction (Protocol::asleep_for() ==
-//     nullopt) are kept on an always-visited list, so always-on protocols
-//     degrade transparently to dense-equivalent behavior.
+// One round body (Simulation::step()) visits the round's awake cohort over
+// struct-of-arrays node state; the engine mode (EngineMode) picks the policy:
+//   * dense — the reference: no wake prediction is asked for, so every live
+//     node is visited every round and billed under the strict ledger check;
+//   * sparse — a wake-event queue: a node whose protocol predicts its sleep
+//     (Protocol::asleep_for()) is visited only when it may be awake, its
+//     asleep span is replayed in O(1) via Protocol::skip_rounds(), the
+//     ledger bills it lazily, and fully-idle windows are fast-forwarded.
+//     Nodes without a prediction are visited every round, as under dense.
 // The two are required to be bit-identical on every execution — reports,
 // traces, ledger, observers (the equivalence contract in
 // docs/ARCHITECTURE.md, enforced by the differential test wall).
@@ -221,7 +222,7 @@ class Simulation {
   // --- observers -----------------------------------------------------------
 
   const SimConfig& config() const { return config_; }
-  /// The resolved round loop: kDense or kSparse (never kAuto).
+  /// The resolved engine policy: kDense or kSparse (never kAuto).
   EngineMode engine_mode() const {
     return sparse_ ? EngineMode::kSparse : EngineMode::kDense;
   }
@@ -295,10 +296,8 @@ class Simulation {
  private:
   void activate_pending(RoundId r);
   std::vector<Frequency> validated_disruption();
-  RoundReport step_dense();
-  RoundReport step_sparse();
   /// Replays node `id`'s pending asleep rounds up to the round in progress
-  /// (sparse engine only; no-op when already current, crashed or inactive).
+  /// (no-op when already current — always under dense — crashed or inactive).
   void settle_node(NodeId id) const;
   /// Builds this round's cohort (due wake events + always-visited nodes) in
   /// ascending node-id order into cohort_.
@@ -349,7 +348,8 @@ class Simulation {
   int64_t absences_total_ = 0;
   int64_t wake_events_popped_ = 0;
 
-  // Sparse-engine state (unused under kDense).
+  // Cohort state. Under kDense no node predicts wakes, so every live node
+  // is always awake and the wake queue stays empty.
   bool sparse_ = false;
   std::vector<char> node_sparse_;      ///< protocol predicts wakes
   std::vector<RoundId> node_settled_;  ///< rounds applied to the protocol

@@ -18,6 +18,14 @@ TEST(ThreadPoolTest, DefaultWorkersIsPositive) {
   EXPECT_EQ(explicit_pool.worker_count(), 3);
 }
 
+TEST(ThreadPoolTest, RejectsMoreThanMaxWorkersBeforeStartingThreads) {
+  // The bound is checked before the first thread starts, so this request
+  // starts none: a throw out of a constructor that had started threads
+  // would leave them joinable and terminate the process instead.
+  EXPECT_LE(ThreadPool::default_workers(), ThreadPool::kMaxWorkers);
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxWorkers + 1), std::invalid_argument);
+}
+
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};

@@ -1,10 +1,14 @@
 // The dense↔sparse differential wall.
 //
-// The sparse wake-event engine must be bit-identical to the dense reference
-// loop on every execution — same seed in, same everything out. These tests
-// run the same spec under both engines in lockstep across the full
+// Both engine modes run one round body (Simulation::step()); the mode picks
+// only the policy around it. Dense asks no protocol for a wake prediction,
+// so it visits every live node every round and bills the ledger strictly.
+// Sparse visits the awake cohort off a wake-event queue, replays asleep
+// spans through Protocol::skip_rounds(), bills the ledger lazily and
+// fast-forwards idle windows. These tests diff exactly those differences,
+// running the same spec under both engines in lockstep across the full
 // ProtocolKind / AdversaryKind / ActivationKind axes (plus crash injection)
-// and diff every observable surface:
+// and comparing every observable surface:
 //   * the RoundReport stream, round by round;
 //   * the full trace (round events, activations, deliveries, sync events,
 //     crashes) via MemoryTrace;
@@ -13,11 +17,17 @@
 //   * run_sync_experiment outcomes and PointResult aggregates;
 //   * the event-driven observers against their full-scan oracles
 //     (tests/testing/full_scan_oracle.h), round by round: SyncVerifier on
-//     the sparse engine against FullScanVerifier on the dense one, and
+//     the sparse engine against FullScanVerifier on the dense one,
+//     all_synced() on both against a liveness scan of the dense one, and
 //     run_maintenance's spread against a scan of the dense twin.
+// A counting decorator pins that the dense reference never calls the
+// sparse contract it is diffed against. The phases both modes share
+// (disrupt, activate, act, resolve, deliver) cannot differ between them;
+// the golden runs in tests/golden/ pin those.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,6 +108,9 @@ void run_differential(const DiffCase& c) {
     verifier.observe(*pair.sims.sparse);
     ASSERT_TRUE(testing::same_report(oracle.report(), verifier.report()))
         << "round " << r;
+    const bool live = testing::full_scan_all_synced(*pair.sims.dense);
+    ASSERT_EQ(pair.sims.dense->all_synced(), live) << "round " << r;
+    ASSERT_EQ(pair.sims.sparse->all_synced(), live) << "round " << r;
     if (::testing::Test::HasFailure()) {
       FAIL() << "engines diverged at round " << r;
     }
@@ -325,6 +338,67 @@ TEST(EngineDifferentialTest, ResumingASyncedSimulationIsANoOp) {
     EXPECT_TRUE(again.synced);
     EXPECT_EQ(again.rounds, first.rounds)
         << to_string(mode) << ": resume advanced a synced simulation";
+  }
+}
+
+/// Forwards every call to a wrapped protocol and counts the two calls of
+/// the sparse-engine contract.
+class CountingProtocol final : public Protocol {
+ public:
+  struct Counts {
+    int64_t asleep_for = 0;
+    int64_t skip_rounds = 0;
+  };
+  CountingProtocol(std::unique_ptr<Protocol> inner, Counts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  void on_activate(Rng& rng) override { inner_->on_activate(rng); }
+  RoundAction act(Rng& rng) override { return inner_->act(rng); }
+  void on_round_end(const std::optional<Message>& m, Rng& rng) override {
+    inner_->on_round_end(m, rng);
+  }
+  SyncOutput output() const override { return inner_->output(); }
+  Role role() const override { return inner_->role(); }
+  double broadcast_probability() const override {
+    return inner_->broadcast_probability();
+  }
+  int64_t resync_corrections() const override {
+    return inner_->resync_corrections();
+  }
+  std::optional<int64_t> asleep_for() const override {
+    ++counts_->asleep_for;
+    return inner_->asleep_for();
+  }
+  void skip_rounds(int64_t rounds) override {
+    ++counts_->skip_rounds;
+    inner_->skip_rounds(rounds);
+  }
+
+ private:
+  std::unique_ptr<Protocol> inner_;
+  Counts* counts_;
+};
+
+TEST(EngineDifferentialTest, DenseReferenceNeverUsesTheSparseContract) {
+  // The dense engine is what the sparse engine's wake queue, replay and
+  // fast-forward are diffed against, so it must use none of them; the same
+  // duty-cycled run on the sparse engine must use them all.
+  CountingProtocol::Counts counts;
+  const ProtocolFactory duty_cycle = DutyCycleProtocol::factory({});
+  const testing::SimBuilder builder =
+      testing::SimBuilder(4, 1, 6).N(8).seed(26).protocol(
+          [&](const ProtocolEnv& env) -> std::unique_ptr<Protocol> {
+            return std::make_unique<CountingProtocol>(duty_cycle(env), &counts);
+          });
+  for (const EngineMode mode : {EngineMode::kDense, EngineMode::kSparse}) {
+    counts = {};
+    const auto sim = builder.build(mode);
+    ASSERT_TRUE(sim->run_until_synced(5000).synced) << to_string(mode);
+    const bool sparse = mode == EngineMode::kSparse;
+    EXPECT_EQ(counts.asleep_for > 0, sparse) << to_string(mode);
+    EXPECT_EQ(counts.skip_rounds > 0, sparse) << to_string(mode);
+    EXPECT_EQ(sim->wake_events_popped() > 0, sparse) << to_string(mode);
+    EXPECT_EQ(sim->fast_forwarded_rounds() > 0, sparse) << to_string(mode);
   }
 }
 

@@ -26,7 +26,8 @@
 //     state at the end — the fuzz arm of the differential wall;
 //   * verifier equivalence: the event-driven SyncVerifier on the primary
 //     sim reports exactly what the full-scan oracle reports on the dense
-//     twin, after every round.
+//     twin, after every round, and so does all_synced() on both sims
+//     against a liveness scan of the dense twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,6 +201,9 @@ TEST_P(ScenarioFuzz, EngineInvariantsHoldForRandomTuples) {
     oracle.observe(dense);
     ASSERT_TRUE(testing::same_report(oracle.report(), verifier.report()))
         << "round " << r;
+    const bool live = testing::full_scan_all_synced(dense);
+    ASSERT_EQ(dense.all_synced(), live) << "round " << r;
+    ASSERT_EQ(sim.all_synced(), live) << "round " << r;
 
     const RoundTraceEvent& event = trace.rounds().back();
     ASSERT_EQ(event.round, r);

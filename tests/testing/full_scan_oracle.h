@@ -1,10 +1,11 @@
 // Full-scan test oracles for the event-driven observers.
 //
 // SyncVerifier and Simulation::run_maintenance read only the nodes each
-// step changed (Simulation::changed_nodes()). The oracles here read every
-// node every round, the way both did before, so the walls can run a dense
-// twin through the oracle and the sparse simulation through the production
-// observer and demand identical answers round by round.
+// step changed (Simulation::changed_nodes()), and Simulation::all_synced()
+// reads a counter. The oracles here read every node every round, so the
+// walls can run a dense twin through the oracle and the sparse simulation
+// through the production observer and demand identical answers round by
+// round.
 #ifndef WSYNC_TESTS_TESTING_FULL_SCAN_ORACLE_H_
 #define WSYNC_TESTS_TESTING_FULL_SCAN_ORACLE_H_
 
@@ -90,6 +91,21 @@ inline std::optional<int64_t> full_scan_spread(const Simulation& sim) {
   }
   if (!lowest.has_value()) return std::nullopt;
   return *highest - *lowest;
+}
+
+/// The liveness condition (Simulation::all_synced()) by a scan of all n
+/// nodes. Both engines answer all_synced() from one counter, so only this
+/// scan can catch it drifting. Scan the dense twin: output() reads on a
+/// sparse one settle every node every round and would hide replay bugs.
+inline bool full_scan_all_synced(const Simulation& sim) {
+  if (sim.activated_total() < sim.config().n) return false;
+  bool live = false;
+  for (NodeId id = 0; id < sim.config().n; ++id) {
+    if (!sim.is_active(id) || sim.is_crashed(id)) continue;
+    if (!sim.output(id).has_number()) return false;
+    live = true;
+  }
+  return live;
 }
 
 /// Field-by-field Report comparison that names every field that differs.

@@ -112,7 +112,7 @@ void print_usage(std::FILE* out) {
                "               or one scenario's (NAME=K; repeatable,"
                " wins)\n"
                "  --engine dense|sparse|auto\n"
-               "               round-loop implementation (default auto ="
+               "               engine policy (default auto ="
                " sparse);\n"
                "               results are bit-identical by contract, so"
                " exports\n"
@@ -163,14 +163,14 @@ bool parse_positive_long(const char* text, long* out) {
 }
 
 bool parse_int_flag(const std::string& flag, const char* value, int min,
-                    int* out) {
+                    int* out, int max = 1 << 20) {
   if (value == nullptr) {
     std::fprintf(stderr, "wsync_run: %s needs a value\n", flag.c_str());
     return false;
   }
   char* end = nullptr;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < min || parsed > 1 << 20) {
+  if (end == value || *end != '\0' || parsed < min || parsed > max) {
     std::fprintf(stderr, "wsync_run: bad value for %s: '%s'\n", flag.c_str(),
                  value);
     return false;
@@ -221,7 +221,10 @@ bool parse_args(int argc, char** argv, Options* options) {
       if (!parse_int_flag(arg, next, 1, &options->seeds)) return false;
       ++i;
     } else if (arg == "--workers") {
-      if (!parse_int_flag(arg, next, 1, &options->workers)) return false;
+      if (!parse_int_flag(arg, next, 1, &options->workers,
+                          ThreadPool::kMaxWorkers)) {
+        return false;
+      }
       ++i;
     } else if (arg == "--window") {
       if (!parse_int_flag(arg, next, 1, &options->window)) return false;

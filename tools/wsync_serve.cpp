@@ -107,14 +107,14 @@ void print_usage(std::FILE* out) {
 }
 
 bool parse_long_flag(const std::string& flag, const char* value, long min,
-                     long* out) {
+                     long* out, long max = 1L << 40) {
   if (value == nullptr) {
     std::fprintf(stderr, "wsync_serve: %s needs a value\n", flag.c_str());
     return false;
   }
   char* end = nullptr;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < min || parsed > 1L << 40) {
+  if (end == value || *end != '\0' || parsed < min || parsed > max) {
     std::fprintf(stderr, "wsync_serve: bad value for %s: '%s'\n",
                  flag.c_str(), value);
     return false;
@@ -124,11 +124,9 @@ bool parse_long_flag(const std::string& flag, const char* value, long min,
 }
 
 bool parse_int_flag(const std::string& flag, const char* value, int min,
-                    int* out) {
+                    int* out, int max = 1 << 20) {
   long parsed = 0;
-  if (!parse_long_flag(flag, value, min, &parsed) || parsed > 1 << 20) {
-    return false;
-  }
+  if (!parse_long_flag(flag, value, min, &parsed, max)) return false;
   *out = static_cast<int>(parsed);
   return true;
 }
@@ -148,7 +146,10 @@ bool parse_args(int argc, char** argv, Options* options) {
       options->jobs_path = next;
       ++i;
     } else if (arg == "--workers") {
-      if (!parse_int_flag(arg, next, 1, &options->workers)) return false;
+      if (!parse_int_flag(arg, next, 1, &options->workers,
+                          ThreadPool::kMaxWorkers)) {
+        return false;
+      }
       ++i;
     } else if (arg == "--window") {
       if (!parse_int_flag(arg, next, 1, &options->window)) return false;
