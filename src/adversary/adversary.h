@@ -35,12 +35,6 @@ class Adversary {
   /// assumed by the Good Samaritan analysis (Section 7).
   virtual bool is_oblivious() const = 0;
 
-  /// True only when disrupt() provably returns empty every round AND never
-  /// draws from its rng. Lets the sparse engine fast-forward through windows
-  /// where no node is awake without desynchronizing the adversary stream;
-  /// the conservative default keeps disrupt() called every round.
-  virtual bool never_disrupts() const { return false; }
-
   // --- whitespace channel availability (Azar et al.) ----------------------
   // A second, orthogonal resource: instead of jamming (which consumes the
   // budget t and causes collisions), an adversary may declare a channel

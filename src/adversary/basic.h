@@ -14,7 +14,6 @@ class NoneAdversary final : public Adversary {
  public:
   std::vector<Frequency> disrupt(const EngineView& view, Rng& rng) override;
   bool is_oblivious() const override { return true; }
-  bool never_disrupts() const override { return true; }
 };
 
 /// Disrupts the same fixed set every round. With the set {0, ..., t-1} this

@@ -23,12 +23,21 @@ ThreadPool::ThreadPool(int workers) {
     queues_.push_back(std::make_unique<Queue>());
   }
   threads_.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(static_cast<size_t>(i)); });
+  try {
+    for (int i = 0; i < count; ++i) {
+      threads_.emplace_back([this, i] { worker_loop(static_cast<size_t>(i)); });
+    }
+  } catch (...) {
+    // The workers already started wait on work_cv_; unwinding would destroy
+    // it under them (a hang) and then destroy joinable threads.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
     stop_ = true;

@@ -36,7 +36,8 @@ class ThreadPool {
 
   /// Spawns `workers` threads; `workers <= 0` means default_workers().
   /// Throws std::invalid_argument, before starting any thread, when
-  /// `workers` exceeds kMaxWorkers.
+  /// `workers` exceeds kMaxWorkers. If starting a thread fails, joins the
+  /// workers already started and rethrows.
   explicit ThreadPool(int workers = 0);
 
   /// Finishes every queued task, then joins the workers.
@@ -85,6 +86,8 @@ class ThreadPool {
   /// pending_ (waking wait_idle() on the last one).
   void run_task(std::function<void()>& task);
   void worker_loop(size_t index);
+  /// Lets every worker drain the queues and exit, then joins it.
+  void stop_and_join();
 
   std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> threads_;

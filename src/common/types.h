@@ -91,16 +91,17 @@ struct CrashWave {
 
 /// The policy around the engine's one round body (Simulation::step()).
 ///
+/// The mode picks two policies: wake prediction and the ledger close.
 /// kDense is the reference: it asks no protocol for a wake prediction, so
 /// every live node is visited and strictly billed every round. kSparse asks
-/// at activation and drives a wake-event queue, a lazy ledger and idle
-/// fast-forward, so per-round cost scales with the awake cohort; it must be
-/// bit-identical to kDense on every execution (the equivalence contract in
+/// at activation and drives a wake-event queue and a lazy ledger, so
+/// per-round cost scales with the awake cohort; it must be bit-identical to
+/// kDense on every execution (the equivalence contract in
 /// docs/ARCHITECTURE.md). kAuto resolves to kSparse.
 enum class EngineMode : uint8_t {
   kAuto,    ///< resolves to kSparse
   kDense,   ///< no wake prediction: every live node visited every round
-  kSparse,  ///< wake-event queue, lazy ledger, fast-forward
+  kSparse,  ///< wake-event queue, lazy ledger
 };
 
 /// Printable name for an engine mode (stable, for CLI flags and tests).

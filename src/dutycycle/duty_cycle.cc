@@ -58,7 +58,7 @@ bool DutyCycleProtocol::awake_next() const {
 bool DutyCycleProtocol::resync_slot(int64_t age) const {
   // Pure function of age: awake_rounds_before() is closed-form over the
   // schedule, so the rule gives the same answer whether the node was driven
-  // round-by-round (dense) or fast-forwarded here (sparse).
+  // round-by-round (dense) or replayed here (sparse).
   return config_.resync_every_awake_slots > 0 && schedule_->awake(age) &&
          schedule_->awake_rounds_before(age) %
                  config_.resync_every_awake_slots ==

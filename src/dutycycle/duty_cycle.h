@@ -76,7 +76,7 @@ struct DutyCycleConfig {
   /// adopter re-opens its radio for exactly those slots (listen only) so it
   /// can re-adopt the numbering and cancel accumulated clock drift. The rule
   /// is a pure function of the node's age — awake_rounds_before(age) % R —
-  /// so it survives sparse fast-forward bit-exactly.
+  /// so it survives the sparse replay bit-exactly.
   int resync_every_awake_slots = 0;
 };
 

@@ -74,7 +74,6 @@ struct PointResult {
   int64_t knockouts = 0;          ///< live nodes ending a run knocked out
   // Engine-dependent (reproducible per engine; 0 under the dense engine).
   int64_t wake_events_popped = 0;
-  int64_t fast_forwarded_rounds = 0;
 };
 
 /// Every PointResult member (see src/experiment/field_list.h), in the
@@ -116,10 +115,6 @@ inline constexpr std::tuple kResultFields{
     Field{"wake_events_popped", &PointResult::wake_events_popped,
           Codec::kCount, Merge::kSum, &RunOutcome::wake_events_popped,
           Metric{"wake_events_popped",
-                 telemetry::MetricClass::kEngineDependent}},
-    Field{"fast_forwarded_rounds", &PointResult::fast_forwarded_rounds,
-          Codec::kCount, Merge::kSum, &RunOutcome::fast_forwarded_rounds,
-          Metric{"fast_forwarded_rounds",
                  telemetry::MetricClass::kEngineDependent}},
     // The paper's Section 3 properties.
     Field{"agreement_violations", &PointResult::agreement_violations,

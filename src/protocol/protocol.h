@@ -86,8 +86,8 @@ class Protocol {
 
   // --- sparse-engine contract ----------------------------------------------
   // A duty-cycled protocol can tell the engine, after every processed round,
-  // how long it is certain to sleep, and can fast-forward through a block of
-  // asleep rounds without being driven round-by-round. The dense↔sparse
+  // how long it is certain to sleep, and can replay a block of asleep rounds
+  // at once instead of being driven round-by-round. The dense↔sparse
   // equivalence contract (docs/ARCHITECTURE.md) requires of an implementer:
   //   * whenever asleep_for() > 0, the next act() would return
   //     RoundAction::sleep() WITHOUT drawing from its rng, and
@@ -110,7 +110,7 @@ class Protocol {
   /// on the dense-equivalent always-visited path.
   virtual std::optional<int64_t> asleep_for() const { return std::nullopt; }
 
-  /// Fast-forwards `rounds` asleep rounds (see contract above). Only called
+  /// Replays `rounds` asleep rounds (see contract above). Only called
   /// by the sparse engine, and only with rounds <= the asleep_for() horizon.
   virtual void skip_rounds(int64_t rounds) {
     WSYNC_CHECK(rounds == 0, "skip_rounds() on a protocol without sparse "

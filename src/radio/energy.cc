@@ -61,13 +61,6 @@ void EnergyLedger::end_round_lazy() {
   ++rounds_;
 }
 
-void EnergyLedger::skip_rounds(RoundId rounds) {
-  WSYNC_REQUIRE(rounds >= 0, "cannot skip a negative number of rounds");
-  WSYNC_CHECK(records_this_round_ == 0,
-              "skip_rounds() with records pending in the round in progress");
-  rounds_ += rounds;
-}
-
 const NodeEnergy& EnergyLedger::node(NodeId id) const {
   WSYNC_REQUIRE(id >= 0 && id < n(), "node id out of range");
   settle(id);

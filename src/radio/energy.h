@@ -123,10 +123,6 @@ class EnergyLedger {
   /// recorded this round slept implicitly (the sparse engine's discipline).
   void end_round_lazy();
 
-  /// Fast-forwards `rounds` whole rounds in which no node was recorded —
-  /// everyone slept. Only valid between rounds (nothing recorded yet).
-  void skip_rounds(RoundId rounds);
-
   int n() const { return static_cast<int>(nodes_.size()); }
   /// Completed (closed) rounds.
   RoundId rounds() const { return rounds_; }

@@ -409,50 +409,12 @@ void Simulation::settle_node(NodeId id) const {
   self->node_last_output_[ni] = out;
 }
 
-void Simulation::maybe_fast_forward(RoundId max_rounds) {
-  // A window of rounds can be skipped wholesale only when each round is
-  // provably a no-op replayable later: nothing to trace (or a sink that
-  // opts into gap-tolerant tracing — TraceSink::allows_fast_forward), the
-  // adversary neither disrupts nor draws, no activation pending, no
-  // always-visited node, and no wake event due.
-  if (trace_ != nullptr && !trace_->allows_fast_forward()) return;
-  if (!adversary_->never_disrupts()) return;
-  if (activated_total_ < config_.n) return;
-  if (!always_awake_.empty()) return;
-  const RoundId now = view_.round_;
-  if (now >= max_rounds || !wake_queue_.empty_at(now)) return;
-  const std::optional<RoundId> next = wake_queue_.next_event_after(now);
-  const RoundId target =
-      next.has_value() ? std::min(*next, max_rounds) : max_rounds;
-  if (target <= now) return;
-
-  energy_.skip_rounds(target - now);
-  fast_forwarded_rounds_ += target - now;
-  view_.round_ = target;
-  if (trace_ != nullptr) trace_->on_fast_forward(now, target);
-  // Publish what the last skipped round would have published: an idle round
-  // with no activations, no deliveries and a silent adversary.
-  RoundStats stats;
-  stats.round = target - 1;
-  stats.per_freq.assign(static_cast<size_t>(config_.F), FreqRoundStats{});
-  view_.last_round_ = stats;
-  view_.active_count_ = active_count_ - crashed_count_;
-}
-
 Simulation::RunResult Simulation::run_until_synced(RoundId max_rounds) {
   WSYNC_REQUIRE(max_rounds >= 0, "max_rounds must be non-negative");
   while (view_.round_ < max_rounds) {
     // Liveness is checked BEFORE stepping: resuming an already-synced
-    // simulation (crash-then-resume observers do this) must be a no-op in
-    // both engines. Checking only after step() made the dense engine
-    // execute one extra round while the sparse engine fast-forwarded to
-    // the next wake event — rounds and energy ledgers diverged whenever a
-    // later crash landed inside the window only one of them had billed.
+    // simulation (crash-then-resume observers do this) must be a no-op.
     if (all_synced()) return RunResult{true, view_.round_};
-    if (sparse_) {
-      maybe_fast_forward(max_rounds);
-      if (view_.round_ >= max_rounds) break;
-    }
     step();
   }
   return RunResult{all_synced(), view_.round_};
@@ -477,9 +439,9 @@ Simulation::MaintenanceReport Simulation::run_maintenance(
   MaintenanceReport report;
   const int64_t corrections_before = total_corrections();
   // Output spread over live synchronized nodes, every round: a violation in
-  // ANY round must be caught, so no fast-forwarding. Offsets are read once
-  // per node here (settling sparse nodes, so both engines observe identical
-  // values) and afterwards only for the nodes each step changed.
+  // ANY round must be caught. Offsets are read once per node here (settling
+  // sparse nodes, so both engines observe identical values) and afterwards
+  // only for the nodes each step changed.
   auto offset_of = [this](NodeId id) {
     if (!is_active(id) || is_crashed(id)) return OffsetTracker::kNone;
     const SyncOutput out = output(id);

@@ -28,9 +28,9 @@
 //     node is visited every round and billed under the strict ledger check;
 //   * sparse — a wake-event queue: a node whose protocol predicts its sleep
 //     (Protocol::asleep_for()) is visited only when it may be awake, its
-//     asleep span is replayed in O(1) via Protocol::skip_rounds(), the
-//     ledger bills it lazily, and fully-idle windows are fast-forwarded.
-//     Nodes without a prediction are visited every round, as under dense.
+//     asleep span is replayed in O(1) via Protocol::skip_rounds() and the
+//     ledger bills it lazily. Nodes without a prediction are visited every
+//     round, as under dense. Every round executes under both modes.
 // The two are required to be bit-identical on every execution — reports,
 // traces, ledger, observers (the equivalence contract in
 // docs/ARCHITECTURE.md, enforced by the differential test wall).
@@ -43,7 +43,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/adversary/adversary.h"
@@ -111,18 +110,16 @@ class WakeEventQueue {
   void schedule(RoundId now, RoundId round, NodeId id) {
     if (round - now < kHorizon) {
       ring_[static_cast<size_t>(round % kHorizon)].push_back(id);
-      ++near_events_;
     } else {
       far_[round].push_back(id);
     }
   }
 
   /// Appends the ids due exactly in round `round` to *out (arbitrary order)
-  /// and removes them from the queue. Rounds must be collected in strictly
-  /// increasing order, with no event left behind in a skipped round.
+  /// and removes them from the queue. Every round is collected, in strictly
+  /// increasing order.
   void collect(RoundId round, std::vector<NodeId>* out) {
     std::vector<NodeId>& bucket = ring_[static_cast<size_t>(round % kHorizon)];
-    near_events_ -= static_cast<int64_t>(bucket.size());
     out->insert(out->end(), bucket.begin(), bucket.end());
     bucket.clear();
     if (!far_.empty() && far_.begin()->first == round) {
@@ -132,44 +129,12 @@ class WakeEventQueue {
     }
   }
 
-  /// True iff no event is pending for exactly `round`.
-  bool empty_at(RoundId round) const {
-    return ring_[static_cast<size_t>(round % kHorizon)].empty() &&
-           (far_.empty() || far_.begin()->first != round);
-  }
-
-  /// First round strictly after `round` with a pending event, or nullopt.
-  std::optional<RoundId> next_event_after(RoundId round) const {
-    std::optional<RoundId> next;
-    if (near_events_ > 0) {
-      for (RoundId j = 1; j < kHorizon; ++j) {
-        if (!ring_[static_cast<size_t>((round + j) % kHorizon)].empty()) {
-          next = round + j;
-          break;
-        }
-      }
-    }
-    if (!far_.empty() && (!next.has_value() || far_.begin()->first < *next)) {
-      next = far_.begin()->first;
-    }
-    return next;
-  }
-
-  int64_t pending_events() const {
-    int64_t far_events = 0;
-    for (const auto& [round, ids] : far_) {
-      far_events += static_cast<int64_t>(ids.size());
-    }
-    return near_events_ + far_events;
-  }
-
  private:
   static constexpr RoundId kHorizon = 4096;
 
   std::vector<std::vector<NodeId>> ring_ =
       std::vector<std::vector<NodeId>>(static_cast<size_t>(kHorizon));
   std::map<RoundId, std::vector<NodeId>> far_;
-  int64_t near_events_ = 0;
 };
 
 class Simulation {
@@ -184,11 +149,9 @@ class Simulation {
   /// Executes one round.
   RoundReport step();
 
-  /// Runs until every node has been activated and every non-crashed active
-  /// node outputs a round number, or until `max_rounds` total rounds have
-  /// been executed. Safe to call after step(). The sparse engine
-  /// fast-forwards through windows where no node can act (no wake event, no
-  /// pending activation, nothing to trace, adversary provably silent).
+  /// Steps round by round until every node has been activated and every
+  /// non-crashed active node outputs a round number, or until `max_rounds`
+  /// total rounds have been executed. Safe to call after step().
   struct RunResult {
     bool synced = false;   ///< liveness reached within the budget
     RoundId rounds = 0;    ///< total rounds executed so far
@@ -206,10 +169,9 @@ class Simulation {
                                      const MaintenanceReport&) = default;
   };
 
-  /// The hold-the-sync run mode: executes `horizon` further rounds
-  /// round-by-round (no fast-forward — the offset must be observed every
-  /// round) and checks after each that the spread between the largest and
-  /// smallest output over live synchronized nodes stays within
+  /// The hold-the-sync run mode: executes `horizon` further rounds and
+  /// checks after each that the spread between the largest and smallest
+  /// output over live synchronized nodes stays within
   /// `offset_bound` (< 0 = chart only, never count a violation). Under
   /// clock drift (SimConfig::drift) nodes slide apart between the resync
   /// beacons that re-align them; resync_count totals those corrections
@@ -226,13 +188,12 @@ class Simulation {
   EngineMode engine_mode() const {
     return sparse_ ? EngineMode::kSparse : EngineMode::kDense;
   }
-  /// Rounds the sparse engine skipped wholesale in run_until_synced()
-  /// (0 under the dense engine).
-  RoundId fast_forwarded_rounds() const { return fast_forwarded_rounds_; }
+  /// Always 0: every round executes. Kept only for wsbench, its one reader.
+  RoundId fast_forwarded_rounds() const { return 0; }
 
   // Whole-execution telemetry counters. The first three are deterministic
-  // run metrics — identical across the dense and sparse engines (skipped
-  // rounds are provably event-free) and across worker counts. Wake-event
+  // run metrics — identical across the dense and sparse engines and across
+  // worker counts. Wake-event
   // pops are engine-dependent: reproducible per (seed, engine), but the
   // dense engine never pops one.
   int64_t deliveries_total() const { return deliveries_total_; }
@@ -305,10 +266,6 @@ class Simulation {
   /// Ends a step: adds unvisited_activations_ and crashed_since_step_ to
   /// the visited nodes already in changed_.
   void publish_changes();
-  /// Jumps over rounds in which provably nothing happens; leaves
-  /// view_.round_ at the first round that needs execution (capped at
-  /// `max_rounds`).
-  void maybe_fast_forward(RoundId max_rounds);
 
   SimConfig config_;
   ProtocolFactory factory_;
@@ -356,7 +313,6 @@ class Simulation {
   std::vector<NodeId> always_awake_;   ///< sorted live unpredictable nodes
   WakeEventQueue wake_queue_;
   int synced_live_ = 0;  ///< live nodes whose last output has a number
-  RoundId fast_forwarded_rounds_ = 0;
   std::vector<NodeId> due_;     // scratch: events collected this round
   std::vector<NodeId> cohort_;  // scratch: nodes visited this round
 

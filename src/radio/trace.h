@@ -53,19 +53,6 @@ class TraceSink {
   virtual void on_synchronized(RoundId /*round*/, NodeId /*node*/,
                                int64_t /*number*/) {}
   virtual void on_crash(RoundId /*round*/, NodeId /*node*/) {}
-
-  /// Whether the sparse engine may skip provably-idle windows wholesale
-  /// while this sink is attached. The default (false) keeps a traced
-  /// engine on the round-by-round path, so sinks that record per-round
-  /// history (MemoryTrace) observe every round — the behaviour all
-  /// pre-telemetry walls pin. A sink that returns true receives one
-  /// on_fast_forward() per skipped window instead of its per-round events
-  /// and must tolerate the gap (src/telemetry/ renders it as a synthetic
-  /// span). Must be a constant property of the sink instance.
-  virtual bool allows_fast_forward() const { return false; }
-  /// Fired after a permitted fast-forward: rounds [from, to) were skipped
-  /// wholesale (no activation, no delivery, a silent adversary).
-  virtual void on_fast_forward(RoundId /*from*/, RoundId /*to*/) {}
 };
 
 /// Records everything in memory; for tests and small diagnostic runs.

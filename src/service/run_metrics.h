@@ -11,8 +11,8 @@
 // (src/telemetry/metrics.h):
 //   * "deterministic" — engine- and worker-invariant; diffed byte-for-byte
 //     by the identity walls and CI;
-//   * "engine" — worker-invariant per engine (wake events popped,
-//     fast-forwarded rounds; the dense engine reports 0 for both);
+//   * "engine" — worker-invariant per engine (wake events popped; the
+//     dense engine reports 0);
 //   * "timing" — wall-clock stage/pool observations, never diffed.
 #ifndef WSYNC_SERVICE_RUN_METRICS_H_
 #define WSYNC_SERVICE_RUN_METRICS_H_

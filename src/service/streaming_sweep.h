@@ -100,9 +100,9 @@ struct StreamingSweepOptions {
   /// a chunk-latency timing histogram for computed chunks.
   RunMetricsCollector* metrics = nullptr;
   /// When set, attached to the first seed of the FIRST freshly computed
-  /// chunk — a single task owns the sink, and a sink that
-  /// allows_fast_forward() (the telemetry sink does) leaves every result
-  /// byte-identical to the untraced sweep.
+  /// chunk — a single task owns the sink, and every round executes with or
+  /// without it, so every result stays byte-identical to the untraced
+  /// sweep.
   TraceSink* trace = nullptr;
 };
 

@@ -97,7 +97,6 @@ RunOutcome run_sync_experiment(const RunSpec& spec) {
     if (sim.role(id) == Role::kKnockedOut) ++outcome.knockouts;
   }
   outcome.wake_events_popped = sim.wake_events_popped();
-  outcome.fast_forwarded_rounds = sim.fast_forwarded_rounds();
   return outcome;
 }
 

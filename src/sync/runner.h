@@ -48,10 +48,9 @@ struct RunSpec {
   /// Optional trace sink, observed by the FIRST run only when the spec is
   /// replayed across seeds (one writer, and seed replication would
   /// otherwise interleave unrelated executions into one trace). Not owned;
-  /// must outlive the run. A sink that allows_fast_forward() (the
-  /// telemetry sink does) leaves every result bit-identical to the
-  /// untraced run; MemoryTrace degrades the sparse engine to
-  /// round-by-round execution as before.
+  /// must outlive the run. The runner steps every round with or without a
+  /// sink, so attaching one leaves every result bit-identical to the
+  /// untraced run.
   TraceSink* trace = nullptr;
 };
 
@@ -80,9 +79,10 @@ struct RunOutcome {
   int64_t collisions = 0;         ///< freq-rounds with >= 2 reaching broadcasters
   int64_t absences = 0;           ///< choices voided by a whitespace mask
   int64_t knockouts = 0;          ///< live nodes ending the run knocked out
-  // Engine-dependent metrics: reproducible per (spec, seed, engine); the
-  // dense engine reports 0 for both.
+  // Engine-dependent metric: reproducible per (spec, seed, engine); the
+  // dense engine reports 0.
   int64_t wake_events_popped = 0;
+  /// Never set; kept only for wsbench, its one reader.
   int64_t fast_forwarded_rounds = 0;
 };
 

@@ -45,7 +45,7 @@ class SyncVerifier {
 
   /// Call once after every Simulation::step(): each call after the first
   /// requires exactly one step() of the same Simulation since the previous
-  /// one (no fast-forward in between), so no round goes unseen.
+  /// one, so no round goes unseen.
   void observe(const Simulation& sim);
 
   struct Report {
@@ -78,7 +78,6 @@ class SyncVerifier {
   // Incremental state, allocated at the first observe().
   const Simulation* sim_ = nullptr;
   RoundId last_round_ = 0;
-  RoundId last_fast_forwarded_ = 0;
   std::optional<OffsetTracker> offsets_;
   std::vector<char> leader_;  ///< per node: live with Role::kLeader
   int leaders_ = 0;

@@ -9,9 +9,9 @@
 //     corrections. Byte-identical across worker counts AND across the
 //     dense/sparse engines; diffed by the bit-identity walls.
 //   * kEngineDependent — pure functions of (spec, seed, engine): wake
-//     events popped, fast-forwarded rounds. Reproducible — and diffed
-//     across worker counts — per engine, but legitimately different
-//     between dense and sparse (the dense engine never pops a wake event).
+//     events popped. Reproducible — and diffed across worker counts — per
+//     engine, but legitimately different between dense and sparse (the
+//     dense engine never pops a wake event).
 //   * kTiming — wall-clock observations (stage stopwatches, thread-pool
 //     utilization, chunk latency). Excluded from every bit-identity wall;
 //     values must come only from the sanctioned telemetry Stopwatch.

@@ -98,12 +98,4 @@ void TelemetrySink::on_crash(RoundId round, NodeId node) {
   emit("crash", "i", round, node, "", "\"s\": \"t\"");
 }
 
-void TelemetrySink::on_fast_forward(RoundId from, RoundId to) {
-  std::ostringstream extra;
-  extra << "\"dur\": " << (to - from);
-  std::ostringstream args;
-  args << "\"rounds\": " << (to - from);
-  emit("fast_forward", "X", from, 0, args.str(), extra.str());
-}
-
 }  // namespace wsync::telemetry

@@ -8,14 +8,11 @@
 //   * one "C" (counter) event per executed round, carrying deliveries,
 //     active nodes and the broadcast weight W(r);
 //   * "i" (instant) events for node activation, delivery, first
-//     synchronization and crash, on a per-node track (tid = node id);
-//   * a synthetic "X" (complete-span) event named "fast_forward" covering
-//     every window the sparse engine skipped wholesale, so sparse traces
-//     stay interpretable: the span marks exactly the rounds that have no
-//     per-round events. TelemetrySink::allows_fast_forward() returns true —
-//     unlike MemoryTrace, attaching it does not degrade the sparse engine
-//     to round-by-round execution, and therefore does not perturb any
-//     result the bit-identity walls compare.
+//     synchronization and crash, on a per-node track (tid = node id).
+//
+// Every round executes under both engines, so a sparse trace has the same
+// events as a dense one, and attaching the sink perturbs no result the
+// bit-identity walls compare.
 //
 // Timestamps are simulation rounds encoded as microseconds (round r -> ts
 // r), never wall-clock: a trace of a seeded run is itself deterministic and
@@ -64,8 +61,8 @@ class ChromeTraceWriter {
 class TelemetrySink final : public wsync::TraceSink {
  public:
   /// `filter`, when non-empty, is an ECMAScript regex applied to the event
-  /// name (round, activate, delivery, sync, crash, fast_forward); only
-  /// matching events are written. Throws std::regex_error on a bad pattern.
+  /// name (round, activate, delivery, sync, crash); only matching events
+  /// are written. Throws std::regex_error on a bad pattern.
   explicit TelemetrySink(ChromeTraceWriter* writer,
                          const std::string& filter = "");
 
@@ -74,8 +71,6 @@ class TelemetrySink final : public wsync::TraceSink {
   void on_delivery(const DeliveryTraceEvent& event) override;
   void on_synchronized(RoundId round, NodeId node, int64_t number) override;
   void on_crash(RoundId round, NodeId node) override;
-  bool allows_fast_forward() const override { return true; }
-  void on_fast_forward(RoundId from, RoundId to) override;
 
  private:
   bool passes(const char* name) const;

@@ -1,11 +1,54 @@
 #include "src/common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+// Allocation-failure injection for this binary only: once armed on a
+// thread, the countdown makes that thread's n-th next allocation throw
+// std::bad_alloc. Other threads (the pool's workers) are never failed.
+namespace {
+thread_local int64_t allocations_before_failure = -1;  // < 0: disarmed
+
+void* allocate(std::size_t size) {
+  if (allocations_before_failure >= 0 && allocations_before_failure-- == 0) {
+    throw std::bad_alloc();
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return allocate(size); }
+void* operator new[](std::size_t size) { return allocate(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return allocate(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+void operator delete[](void* block, const std::nothrow_t&) noexcept {
+  std::free(block);
+}
 
 namespace wsync {
 namespace {
@@ -20,10 +63,43 @@ TEST(ThreadPoolTest, DefaultWorkersIsPositive) {
 
 TEST(ThreadPoolTest, RejectsMoreThanMaxWorkersBeforeStartingThreads) {
   // The bound is checked before the first thread starts, so this request
-  // starts none: a throw out of a constructor that had started threads
-  // would leave them joinable and terminate the process instead.
+  // starts none.
   EXPECT_LE(ThreadPool::default_workers(), ThreadPool::kMaxWorkers);
   EXPECT_THROW(ThreadPool(ThreadPool::kMaxWorkers + 1), std::invalid_argument);
+}
+
+TEST(ThreadPoolTest, ConstructorFailureJoinsStartedWorkersAndRethrows) {
+  // Fails each allocation the constructor makes in turn — the two vectors,
+  // every queue and every thread's start state — until one construction
+  // completes. A failure after a worker has started must stop and join it,
+  // then rethrow; unwinding past a waiting worker hangs the process. The
+  // sweep runs in a child with an alarm, so a hang fails the test.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(10);
+        int failures = 0;
+        for (int64_t n = 0;; ++n) {
+          std::fprintf(stderr, "failing allocation %lld\n",
+                       static_cast<long long>(n));
+          allocations_before_failure = n;
+          try {
+            ThreadPool pool(4);
+            allocations_before_failure = -1;
+            std::atomic<int> counter{0};
+            parallel_for(pool, 16, [&counter](size_t) { ++counter; });
+            std::fprintf(stderr, "constructed after %d failures, ran %d\n",
+                         failures, counter.load());
+            break;
+          } catch (const std::bad_alloc&) {
+            allocations_before_failure = -1;
+            ++failures;
+          }
+        }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "constructed after [1-9][0-9]* failures, ran 16");
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

@@ -320,9 +320,9 @@ TEST(DutyCycleResyncTest, NoCadenceMeansDormantForever) {
 }
 
 TEST(DutyCycleResyncTest, SkipRoundsMatchesSteppingUnderDrift) {
-  // The sparse engine's fast-forward must telescope the per-round drift
-  // deltas to the same local count the dense engine accumulates one round
-  // at a time. 333'333 ppm exercises both the +1 and the +2 delta.
+  // The sparse engine's replay must telescope the per-round drift deltas to
+  // the same local count the dense engine accumulates one round at a time.
+  // 333'333 ppm exercises both the +1 and the +2 delta.
   ProtocolEnv env = make_env();
   env.drift_ppm_rate = 333'333;
   DutyCycleConfig config;

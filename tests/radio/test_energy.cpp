@@ -79,13 +79,13 @@ TEST(EnergyLedgerTest, RejectsBadIds) {
 TEST(EnergyLedgerTest, LazySkipWindowsMatchStrictAcrossActivateAndCrash) {
   // Strict-vs-lazy differential for the exact interleaving that bit the
   // sparse engine: an activate() or a crash landing at the edge of a window
-  // the lazy ledger has already billed wholesale with skip_rounds(). The
-  // lazy counters must settle to the strict ones — no double-charged and no
-  // dropped sleep rounds on the overlap.
+  // the lazy ledger has closed with no record (empty end_round_lazy()
+  // closes). The lazy counters must settle to the strict ones — no
+  // double-charged and no dropped sleep rounds on the overlap.
   //
   // Script over 30 rounds:
   //  * node 0: active from round 0, listens on multiples of 10;
-  //  * node 1: activated at round 12, the first round after a skip-billed
+  //  * node 1: activated at round 12, the first round after an unrecorded
   //    window, then listens every round;
   //  * node 2: active from round 0, broadcasts on multiples of 10, crashes
   //    at round 12 (strict records its sleeps; lazy never records it again).
@@ -108,11 +108,11 @@ TEST(EnergyLedgerTest, LazySkipWindowsMatchStrictAcrossActivateAndCrash) {
   lazy.record(0, RadioState::kListen);       // round 0
   lazy.record(2, RadioState::kBroadcast);
   lazy.end_round_lazy();
-  lazy.skip_rounds(9);                       // rounds 1-9: everyone asleep
+  for (int r = 1; r < 10; ++r) lazy.end_round_lazy();  // everyone asleep
   lazy.record(0, RadioState::kListen);       // round 10
   lazy.record(2, RadioState::kBroadcast);
   lazy.end_round_lazy();
-  lazy.skip_rounds(1);                       // round 11 billed wholesale...
+  lazy.end_round_lazy();                     // round 11 unrecorded...
   lazy.activate(1);  // ...and the activate lands right at the window's edge
   for (int r = 12; r < 30; ++r) {
     lazy.record(1, RadioState::kListen);

@@ -4,11 +4,11 @@
 // only the policy around it. Dense asks no protocol for a wake prediction,
 // so it visits every live node every round and bills the ledger strictly.
 // Sparse visits the awake cohort off a wake-event queue, replays asleep
-// spans through Protocol::skip_rounds(), bills the ledger lazily and
-// fast-forwards idle windows. These tests diff exactly those differences,
-// running the same spec under both engines in lockstep across the full
-// ProtocolKind / AdversaryKind / ActivationKind axes (plus crash injection)
-// and comparing every observable surface:
+// spans through Protocol::skip_rounds() and bills the ledger lazily. These
+// tests diff exactly those differences, running the same spec under both
+// engines in lockstep across the full ProtocolKind / AdversaryKind /
+// ActivationKind axes (plus crash injection) and comparing every observable
+// surface:
 //   * the RoundReport stream, round by round;
 //   * the full trace (round events, activations, deliveries, sync events,
 //     crashes) via MemoryTrace;
@@ -206,7 +206,7 @@ std::vector<DiffCase> all_axis_cases() {
   // Drift cases: per-node local clocks desynchronize the outputs while the
   // engines must stay in lockstep. The duty-cycled runs add the resync
   // cadence (certain leader beacons + dormant listen-only wakes), which is
-  // exactly the state the sparse fast-forward path must telescope right.
+  // exactly the state the sparse skip_rounds() replay must telescope right.
   for (const int ppm : {50, 5'000, 250'000}) {
     DiffCase c;
     c.point.F = 8;
@@ -244,8 +244,7 @@ INSTANTIATE_TEST_SUITE_P(Axes, EngineDifferential,
                          ::testing::ValuesIn(all_axis_cases()), case_name);
 
 TEST(EngineDifferentialTest, RunnerOutcomesMatchThroughBothEngines) {
-  // The full experiment harness (run_until_synced under the hood, including
-  // the sparse engine's idle fast-forward) must land on the same outcome.
+  // The full experiment harness must land on the same outcome.
   ExperimentPoint point;
   point.F = 8;
   point.t = 2;
@@ -269,13 +268,13 @@ TEST(EngineDifferentialTest, RunnerOutcomesMatchThroughBothEngines) {
 
 TEST(EngineDifferentialTest, CrashThenResumeKeepsEnginesAndLedgersAligned) {
   // Regression for the run_until_synced liveness check: resuming an
-  // already-synced simulation used to execute one extra dense round while
-  // the sparse engine fast-forwarded to the next wake event, so a crash
-  // between the two runs landed inside a window only one engine had billed
-  // (first seen at seed 26, cut 200: dense resumed to round 120, sparse to
-  // 121, with ledger totals off by the skipped window). Drive both engines
-  // through run -> crash -> resume and diff rounds, per-node energy and
-  // outputs across a seed sweep that includes the original repro.
+  // already-synced simulation once advanced the two engines by different
+  // amounts, so a crash between the two runs landed inside a window only
+  // one engine had billed (first seen at seed 26, cut 200: dense resumed to
+  // round 120, sparse to 121, with ledger totals off by the skipped
+  // window). Drive both engines through run -> crash -> resume and diff
+  // rounds, per-node energy and outputs across a seed sweep that includes
+  // the original repro.
   SimConfig base;
   base.F = 4;
   base.t = 1;
@@ -380,9 +379,9 @@ class CountingProtocol final : public Protocol {
 };
 
 TEST(EngineDifferentialTest, DenseReferenceNeverUsesTheSparseContract) {
-  // The dense engine is what the sparse engine's wake queue, replay and
-  // fast-forward are diffed against, so it must use none of them; the same
-  // duty-cycled run on the sparse engine must use them all.
+  // The dense engine is what the sparse engine's wake queue and replay are
+  // diffed against, so it must use neither; the same duty-cycled run on the
+  // sparse engine must use both.
   CountingProtocol::Counts counts;
   const ProtocolFactory duty_cycle = DutyCycleProtocol::factory({});
   const testing::SimBuilder builder =
@@ -398,7 +397,6 @@ TEST(EngineDifferentialTest, DenseReferenceNeverUsesTheSparseContract) {
     EXPECT_EQ(counts.asleep_for > 0, sparse) << to_string(mode);
     EXPECT_EQ(counts.skip_rounds > 0, sparse) << to_string(mode);
     EXPECT_EQ(sim->wake_events_popped() > 0, sparse) << to_string(mode);
-    EXPECT_EQ(sim->fast_forwarded_rounds() > 0, sparse) << to_string(mode);
   }
 }
 
@@ -410,7 +408,6 @@ TEST(EngineDifferentialTest, AutoResolvesToSparseAndDenseStaysDense) {
             EngineMode::kSparse);
   EXPECT_EQ(builder.build(EngineMode::kDense)->engine_mode(),
             EngineMode::kDense);
-  EXPECT_EQ(builder.build(EngineMode::kDense)->fast_forwarded_rounds(), 0);
 }
 
 TEST(EngineDifferentialTest, MaintenanceReportsMatchAcrossEngines) {

@@ -59,17 +59,7 @@ TEST(TraceSinkTest, DefaultSinkIgnoresEverything) {
   sink.on_delivery(DeliveryTraceEvent{});
   sink.on_synchronized(0, 0, 0);
   sink.on_crash(0, 0);
-  sink.on_fast_forward(0, 10);
   // Nothing to assert: the base class must simply be callable.
-}
-
-TEST(TraceSinkTest, DefaultSinkForbidsFastForward) {
-  // The default keeps the engine's attach-a-sink-disables-fast-forward
-  // behavior: MemoryTrace goldens must see every round.
-  TraceSink sink;
-  EXPECT_FALSE(sink.allows_fast_forward());
-  MemoryTrace trace;
-  EXPECT_FALSE(trace.allows_fast_forward());
 }
 
 TEST(MemoryTraceTest, CapsPerStreamGrowthAndCountsDrops) {

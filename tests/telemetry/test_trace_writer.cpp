@@ -2,8 +2,7 @@
 // valid JSON array, the TelemetrySink must render every TraceSink callback
 // with the Perfetto-required keys (name/ph/ts/pid/tid), and a full seeded
 // engine run is pinned byte-for-byte by a golden file — identical under the
-// dense and sparse engines, because a sink that allows_fast_forward() must
-// never perturb a run that cannot fast-forward.
+// dense and sparse engines, which execute the same rounds.
 #include "src/telemetry/trace_writer.h"
 
 #include <gtest/gtest.h>
@@ -92,11 +91,10 @@ TEST(TelemetrySinkTest, RendersEveryCallbackWithPerfettoKeys) {
     sink.on_delivery(DeliveryTraceEvent{5, 2, 0, 1});
     sink.on_synchronized(6, 1, 42);
     sink.on_crash(7, 0);
-    sink.on_fast_forward(8, 20);
   }
   const std::string text = out.str();
   expect_chrome_trace_shape(text);
-  // One metadata event (process_name) plus the six callbacks.
+  // One metadata event (process_name) plus the five callbacks.
   EXPECT_NE(text.find("\"name\": \"process_name\", \"ph\": \"M\""),
             std::string::npos);
   EXPECT_NE(text.find("\"name\": \"round\", \"ph\": \"C\", \"ts\": 3"),
@@ -111,19 +109,6 @@ TEST(TelemetrySinkTest, RendersEveryCallbackWithPerfettoKeys) {
   EXPECT_NE(text.find("\"number\": 42"), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"crash\", \"ph\": \"i\", \"ts\": 7"),
             std::string::npos);
-  // The fast-forward span covers rounds [8, 20): a complete event with a
-  // duration, so sparse skips stay visible on the timeline.
-  EXPECT_NE(text.find("\"name\": \"fast_forward\", \"ph\": \"X\", "
-                      "\"ts\": 8"),
-            std::string::npos);
-  EXPECT_NE(text.find("\"dur\": 12"), std::string::npos);
-}
-
-TEST(TelemetrySinkTest, SinkAllowsFastForward) {
-  std::ostringstream out;
-  ChromeTraceWriter writer(out);
-  const TelemetrySink sink(&writer);
-  EXPECT_TRUE(sink.allows_fast_forward());
 }
 
 TEST(TelemetrySinkTest, FilterSelectsByEventName) {
@@ -193,8 +178,8 @@ std::string render_traced_run(EngineMode engine) {
 
 TEST(TelemetrySinkTest, GoldenSeededRun) {
   const std::string dense = render_traced_run(EngineMode::kDense);
-  // A jammed run cannot fast-forward, so the sparse engine must replay the
-  // exact same event stream even though the sink permits skipping.
+  // Both engines execute every round, so the sparse engine must replay the
+  // exact same event stream.
   ASSERT_EQ(dense, render_traced_run(EngineMode::kSparse));
   expect_chrome_trace_shape(dense);
   compare_with_golden("telemetry_trace_run.golden", dense);
