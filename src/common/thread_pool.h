@@ -1,11 +1,11 @@
-// A small work-stealing thread pool for replicated simulation runs.
+// A small thread pool for replicated simulation runs.
 //
-// Each worker owns a deque: submitted tasks are distributed round-robin,
-// a worker pops its own deque from the front and, when empty, steals from
-// the back of a sibling's deque. Queues are mutex-guarded (simulation runs
-// are milliseconds-to-seconds each, so queue overhead is negligible); the
-// stealing only matters for load balance, not for throughput of the queue
-// itself.
+// One FIFO of tasks under one mutex: submit() pushes to the back, and any
+// idle worker pops the oldest task, so load balances itself. The queue, the
+// pending count, the stop flag and the Stats accumulators all live under
+// that mutex, so neither a missed wakeup nor a stale counter after
+// wait_idle() can happen. Each task is a whole simulation run (microseconds
+// to seconds), so three lock acquisitions per task cost nothing measurable.
 //
 // Determinism contract: the pool schedules *which thread* runs a task, never
 // *what* the task computes. Experiment runs draw all randomness from Rng
@@ -16,13 +16,11 @@
 #ifndef WSYNC_COMMON_THREAD_POOL_H_
 #define WSYNC_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,7 +44,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int worker_count() const { return static_cast<int>(queues_.size()); }
+  int worker_count() const { return static_cast<int>(threads_.size()); }
 
   /// Enqueues one task. Thread-safe; may be called from worker threads.
   /// Tasks must not throw: an exception escaping a task unwinds out of the
@@ -64,10 +62,11 @@ class ThreadPool {
 
   /// Pool telemetry (MetricClass::kTiming only: counts depend on the thread
   /// schedule and busy_nanos on the wall clock, so none of this may feed a
-  /// result). Cheap relaxed-atomic reads; exact after wait_idle().
+  /// result). Read under the pool's mutex; exact after wait_idle().
   struct Stats {
     int64_t tasks_executed = 0;
-    int64_t tasks_stolen = 0;  ///< tasks a worker took from a sibling's queue
+    /// Always 0: nothing steals. Kept only for wsbench, its one reader.
+    int64_t tasks_stolen = 0;
     int64_t busy_nanos = 0;    ///< task wall time summed over workers
     int64_t peak_pending = 0;  ///< max simultaneous submitted-unfinished tasks
     int workers = 0;
@@ -75,38 +74,22 @@ class ThreadPool {
   Stats stats() const;
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Pops from own queue front, else steals from a sibling's back.
-  bool try_pop(size_t self, std::function<void()>& task);
-  /// Runs one popped task, accounting its wall time, then retires it from
-  /// pending_ (waking wait_idle() on the last one).
-  void run_task(std::function<void()>& task);
-  void worker_loop(size_t index);
-  /// Lets every worker drain the queues and exit, then joins it.
+  /// Pops and runs tasks until stopped with the queue drained.
+  void worker_loop();
+  /// Lets every worker drain the queue and exit, then joins it.
   void stop_and_join();
 
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
-
-  // sleep_mutex_ serialises the empty-recheck in worker_loop against
-  // submit()'s push+notify, closing the missed-wakeup window.
-  std::mutex sleep_mutex_;
+  /// Guards tasks_, stop_, pending_ and stats_.
+  mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers wait here for tasks
   std::condition_variable idle_cv_;  ///< wait_idle() waits here
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
+  int64_t pending_ = 0;  ///< submitted, not yet finished
+  Stats stats_;          ///< accumulators; stats() fills in `workers`
 
-  std::atomic<size_t> pending_{0};     ///< submitted, not yet finished
-  std::atomic<size_t> next_queue_{0};  ///< round-robin submission cursor
-  bool stop_ = false;                  ///< guarded by sleep_mutex_
-
-  // Stats accumulators — relaxed: observational only, never synchronize.
-  std::atomic<int64_t> tasks_executed_{0};
-  std::atomic<int64_t> tasks_stolen_{0};
-  std::atomic<int64_t> busy_nanos_{0};
-  std::atomic<int64_t> peak_pending_{0};
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 /// Runs fn(0) .. fn(count - 1) on the pool and blocks until all complete.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/require.h"
-#include "src/telemetry/metrics.h"
 
 namespace wsync {
 
@@ -30,14 +29,6 @@ void MemoryTrace::on_crash(RoundId round, NodeId node) {
 void MemoryTrace::set_capacity(int64_t per_stream_capacity) {
   WSYNC_REQUIRE(per_stream_capacity > 0, "trace capacity must be positive");
   capacity_ = per_stream_capacity;
-}
-
-void MemoryTrace::publish_metrics(telemetry::MetricsRegistry* registry) const {
-  WSYNC_REQUIRE(registry != nullptr, "publish_metrics needs a registry");
-  registry
-      ->counter("trace_events_dropped_total",
-                telemetry::MetricClass::kDeterministic)
-      .add(dropped_events_);
 }
 
 double MemoryTrace::max_broadcast_weight() const {

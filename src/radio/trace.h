@@ -15,10 +15,6 @@
 
 namespace wsync {
 
-namespace telemetry {
-class MetricsRegistry;
-}  // namespace telemetry
-
 /// Everything that happened in one engine round.
 struct RoundTraceEvent {
   RoundId round = 0;
@@ -103,12 +99,6 @@ class MemoryTrace final : public TraceSink {
   int64_t capacity() const { return capacity_; }
   /// Events discarded because their stream was at capacity.
   int64_t dropped_events() const { return dropped_events_; }
-
-  /// Publishes the drop counter into `registry` as the
-  /// `trace_events_dropped_total` counter (deterministic class: a pure
-  /// function of (spec, seed, capacity), and MemoryTrace pins the traced
-  /// engine to round-by-round execution, so dense and sparse agree).
-  void publish_metrics(telemetry::MetricsRegistry* registry) const;
 
  private:
   /// Default per-stream cap: generous for every diagnostic run in the test

@@ -2,7 +2,7 @@
 //
 // The sweep service decomposes a catalog run into *chunks* (one experiment
 // point each) of granular *tasks* (one seeded run each). OrderedChunkQueue
-// schedules those tasks onto the existing queue-per-worker ThreadPool and
+// submits those tasks to the FIFO ThreadPool in chunk order and
 // delivers chunk completions back on the caller thread in strict chunk
 // order — the merge step every streaming consumer (report writers,
 // checkpointing, the serve protocol) relies on for byte-identical output at

@@ -26,15 +26,8 @@ void ChromeTraceWriter::close() {
   out_.flush();
 }
 
-TelemetrySink::TelemetrySink(ChromeTraceWriter* writer,
-                             const std::string& filter)
-    : writer_(writer) {
+TelemetrySink::TelemetrySink(ChromeTraceWriter* writer) : writer_(writer) {
   WSYNC_REQUIRE(writer_ != nullptr, "telemetry sink needs a writer");
-  if (!filter.empty()) filter_.emplace(filter);
-}
-
-bool TelemetrySink::passes(const char* name) const {
-  return !filter_.has_value() || std::regex_search(std::string(name), *filter_);
 }
 
 void TelemetrySink::advance_run(RoundId ts) {
@@ -55,7 +48,6 @@ void TelemetrySink::emit(const char* name, const char* ph, RoundId ts,
                          int64_t tid, const std::string& args_json,
                          const std::string& extra) {
   advance_run(ts);
-  if (!passes(name)) return;
   std::ostringstream os;
   os << "{\"name\": \"" << name << "\", \"ph\": \"" << ph
      << "\", \"ts\": " << ts << ", \"pid\": " << run_ << ", \"tid\": " << tid;

@@ -23,9 +23,7 @@
 #define WSYNC_TELEMETRY_TRACE_WRITER_H_
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
-#include <regex>
 #include <string>
 
 #include "src/radio/trace.h"
@@ -60,11 +58,7 @@ class ChromeTraceWriter {
 /// TraceSink that renders engine callbacks as Chrome trace events.
 class TelemetrySink final : public wsync::TraceSink {
  public:
-  /// `filter`, when non-empty, is an ECMAScript regex applied to the event
-  /// name (round, activate, delivery, sync, crash); only matching events
-  /// are written. Throws std::regex_error on a bad pattern.
-  explicit TelemetrySink(ChromeTraceWriter* writer,
-                         const std::string& filter = "");
+  explicit TelemetrySink(ChromeTraceWriter* writer);
 
   void on_round(const RoundTraceEvent& event) override;
   void on_activation(RoundId round, NodeId node) override;
@@ -73,7 +67,6 @@ class TelemetrySink final : public wsync::TraceSink {
   void on_crash(RoundId round, NodeId node) override;
 
  private:
-  bool passes(const char* name) const;
   /// Detects a replayed run (time running backwards), advances the pid
   /// track and emits its process_name metadata.
   void advance_run(RoundId ts);
@@ -81,7 +74,6 @@ class TelemetrySink final : public wsync::TraceSink {
             const std::string& args_json, const std::string& extra = "");
 
   ChromeTraceWriter* writer_;  // not owned
-  std::optional<std::regex> filter_;
   int64_t run_ = -1;  // pid of the current replayed run; -1 = none started
   RoundId last_ts_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <new>
 #include <numeric>
 #include <stdexcept>
@@ -69,8 +70,8 @@ TEST(ThreadPoolTest, RejectsMoreThanMaxWorkersBeforeStartingThreads) {
 }
 
 TEST(ThreadPoolTest, ConstructorFailureJoinsStartedWorkersAndRethrows) {
-  // Fails each allocation the constructor makes in turn — the two vectors,
-  // every queue and every thread's start state — until one construction
+  // Fails each allocation the constructor makes in turn — the task queue,
+  // the thread vector and every thread's start state — until one construction
   // completes. A failure after a worker has started must stop and join it,
   // then rethrow; unwinding past a waiting worker hangs the process. The
   // sweep runs in a child with an alarm, so a hang fails the test.
@@ -171,6 +172,45 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
     parallel_for(pool, 32, [&counter](size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 320);
+}
+
+// Both tests hold the one worker inside the first task on a gate (no
+// sleeps) until every task is submitted.
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTask) {
+  constexpr int kTasks = 200;
+  std::atomic<int> counter{0};
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  {
+    ThreadPool pool(1);
+    pool.submit([opened, &counter] {
+      opened.wait();
+      counter.fetch_add(1);
+    });
+    for (int i = 1; i < kTasks; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1); });
+    }
+    gate.set_value();
+    // No wait_idle(): the tasks still queued here are the destructor's.
+  }
+  EXPECT_EQ(counter.load(), kTasks);
+}
+
+TEST(ThreadPoolTest, StatsAreExactAfterWaitIdle) {
+  constexpr int kTasks = 32;
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  ThreadPool pool(1);
+  pool.submit([opened] { opened.wait(); });
+  for (int i = 1; i < kTasks; ++i) pool.submit([] {});
+  gate.set_value();  // until now, every submitted task was pending
+  pool.wait_idle();
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, kTasks);
+  EXPECT_EQ(stats.peak_pending, kTasks);
+  EXPECT_EQ(stats.workers, 1);
+  EXPECT_EQ(stats.tasks_stolen, 0);
+  EXPECT_GT(stats.busy_nanos, 0);
 }
 
 TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
-#include "src/telemetry/metrics.h"
-
 namespace wsync {
 namespace {
 
@@ -96,20 +92,6 @@ TEST(MemoryTraceTest, DefaultCapacityIsGenerous) {
   MemoryTrace trace;
   EXPECT_EQ(trace.capacity(), int64_t{1} << 20);
   EXPECT_EQ(trace.dropped_events(), 0);
-}
-
-TEST(MemoryTraceTest, PublishesDropCounterAsMetric) {
-  MemoryTrace trace;
-  trace.set_capacity(1);
-  for (int i = 0; i < 3; ++i) trace.on_activation(i, i);
-  telemetry::MetricsRegistry registry;
-  trace.publish_metrics(&registry);
-  EXPECT_EQ(registry
-                .counter("trace_events_dropped_total",
-                         telemetry::MetricClass::kDeterministic)
-                .value(),
-            2);
-  EXPECT_THROW(trace.publish_metrics(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/rng.h"
-#include "src/stats/histogram.h"
 #include "src/stats/regression.h"
 #include "src/stats/summary.h"
 #include "src/stats/table.h"
@@ -128,27 +127,6 @@ TEST(ModelFitTest, ReportsDeviation) {
   const std::array<double, 3> y = {2, 4, 9};
   const ModelFit fit = model_fit(model, y);
   EXPECT_GT(fit.max_relative_error, 0.0);
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-5.0);   // clamped to bin 0
-  h.add(100.0);  // clamped to bin 4
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(4), 2);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(HistogramTest, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add_n(0.5, 3);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("3"), std::string::npos);
-  EXPECT_NE(out.find("#"), std::string::npos);
 }
 
 TEST(TableTest, MarkdownRendering) {

@@ -1,14 +1,12 @@
 // Edge cases of the stats layer: degenerate samples (empty, single,
-// zero-variance), histogram bucket boundaries, and the JSON table
-// rendering — the inputs every aggregation path produces eventually
-// (e.g. a point where all runs timed out yields empty summaries).
+// zero-variance) and the JSON table rendering — the inputs every
+// aggregation path produces eventually (e.g. a point where all runs timed
+// out yields empty summaries).
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <vector>
 
-#include "src/stats/histogram.h"
 #include "src/stats/regression.h"
 #include "src/stats/summary.h"
 #include "src/stats/table.h"
@@ -122,46 +120,6 @@ TEST(PowerFitEdgeTest, ConstantCurveHasZeroExponent) {
   const PowerFit fit = power_fit(x, y);
   EXPECT_NEAR(fit.exponent, 0.0, 1e-12);
   EXPECT_NEAR(fit.constant, 3.0, 1e-12);
-}
-
-TEST(HistogramEdgeTest, ValueOnInteriorBoundaryGoesToUpperBin) {
-  // Bins over [0, 10) in 5 steps of width 2: boundary values belong to the
-  // half-open upper bin, matching the [lo, hi) convention.
-  Histogram h(0.0, 10.0, 5);
-  h.add(2.0);
-  EXPECT_EQ(h.bin_count(0), 0);
-  EXPECT_EQ(h.bin_count(1), 1);
-  h.add(4.0);
-  EXPECT_EQ(h.bin_count(2), 1);
-}
-
-TEST(HistogramEdgeTest, LoAndHiBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);  // lo belongs to bin 0
-  EXPECT_EQ(h.bin_count(0), 1);
-  h.add(10.0);  // hi is outside [lo, hi); clamped into the last bin
-  EXPECT_EQ(h.bin_count(4), 1);
-  h.add(std::nextafter(10.0, 0.0));  // just inside
-  EXPECT_EQ(h.bin_count(4), 2);
-}
-
-TEST(HistogramEdgeTest, SingleBinTakesEverything) {
-  Histogram h(-1.0, 1.0, 1);
-  h.add(-100.0);
-  h.add(0.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bin_count(0), 3);
-  EXPECT_EQ(h.total(), 3);
-}
-
-TEST(HistogramEdgeTest, BinEdgesPartitionTheRange) {
-  Histogram h(0.0, 1.0, 4);
-  for (int b = 0; b < h.bins(); ++b) {
-    EXPECT_DOUBLE_EQ(h.bin_high(b), h.bin_low(b) + 0.25);
-    if (b > 0) {
-      EXPECT_DOUBLE_EQ(h.bin_low(b), h.bin_high(b - 1));
-    }
-  }
 }
 
 TEST(TableJsonTest, NumbersUnquotedStringsEscaped) {

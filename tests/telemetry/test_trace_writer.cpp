@@ -111,30 +111,6 @@ TEST(TelemetrySinkTest, RendersEveryCallbackWithPerfettoKeys) {
             std::string::npos);
 }
 
-TEST(TelemetrySinkTest, FilterSelectsByEventName) {
-  std::ostringstream out;
-  {
-    ChromeTraceWriter writer(out);
-    TelemetrySink sink(&writer, "^(sync|crash)$");
-    RoundTraceEvent round;
-    round.round = 1;
-    sink.on_round(round);
-    sink.on_synchronized(2, 0, 7);
-    sink.on_crash(3, 1);
-  }
-  const std::string text = out.str();
-  expect_chrome_trace_shape(text);
-  EXPECT_EQ(text.find("\"name\": \"round\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"sync\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"crash\""), std::string::npos);
-}
-
-TEST(TelemetrySinkTest, BadFilterThrows) {
-  std::ostringstream out;
-  ChromeTraceWriter writer(out);
-  EXPECT_THROW(TelemetrySink(&writer, "(["), std::regex_error);
-}
-
 TEST(TelemetrySinkTest, ReplayedRunsGetFreshPidTracks) {
   std::ostringstream out;
   {

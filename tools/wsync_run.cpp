@@ -7,7 +7,7 @@
 //   wsync_run ... --max-rounds [NAME=]K  # override per-point round budgets
 //   wsync_run ... --checkpoint PATH [--resume]  # checkpointable execution
 //   wsync_run ... --metrics-out PATH     # export the metrics document
-//   wsync_run ... --trace-out PATH [--trace-filter REGEX]  # Chrome trace
+//   wsync_run ... --trace-out PATH       # Chrome trace
 //
 // Every selected scenario runs through the streaming sweep service
 // (src/service/): (scenario, point, seed)-granular jobs on one shared pool,
@@ -26,7 +26,8 @@
 // liveness budget of every point (bare K) or of one scenario's points
 // (NAME=K, repeatable; the per-scenario form wins). Exit status: 0 when
 // every scenario met its expected invariants (including per-point energy
-// budgets), 1 otherwise, 2 on usage errors.
+// budgets), 1 otherwise, 2 on usage errors or when writing an export
+// file fails.
 //
 // --metrics-out PATH writes the wsync-metrics-v1 JSON document (see
 // src/service/run_metrics.h): the "deterministic" section is
@@ -35,8 +36,7 @@
 // "engine" and "timing" carry the per-engine and wall-clock observations.
 // --trace-out PATH streams a Chrome trace-event JSON array (load it in
 // Perfetto / chrome://tracing) of the first computed chunk's first seed;
-// attaching the sink never changes any result. --trace-filter REGEX keeps
-// only events whose name matches.
+// attaching the sink never changes any result.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -78,11 +78,9 @@ struct Options {
   EngineMode engine = EngineMode::kAuto;
   std::string checkpoint_path;  // empty = no checkpointing
   bool resume = false;
-  int window = 0;       // 0 = 2 x workers
   int throttle_ms = 0;  // sleep per computed chunk (test/ops pacing)
   std::string metrics_path;  // empty = no metrics export
   std::string trace_path;    // empty = no Chrome trace export
-  std::string trace_filter;  // regex over event names; empty = keep all
 };
 
 void print_usage(std::FILE* out) {
@@ -93,7 +91,7 @@ void print_usage(std::FILE* out) {
                "                 [--json PATH] [--csv PATH]"
                " [--max-rounds [NAME=]K]...\n"
                "                 [--checkpoint PATH [--resume]]"
-               " [--window K] [--throttle-ms MS]\n"
+               " [--throttle-ms MS]\n"
                "\n"
                "  --list       list the scenario catalog and exit\n"
                "  --all        run every scenario in the catalog\n"
@@ -126,8 +124,6 @@ void print_usage(std::FILE* out) {
                "               --checkpoint; exports stay byte-identical"
                " to an\n"
                "               uninterrupted run)\n"
-               "  --window K   chunks scheduled past the merge frontier\n"
-               "               (default: 2 x workers; bounds peak memory)\n"
                "  --throttle-ms MS\n"
                "               sleep MS after each computed chunk (pacing"
                " for the\n"
@@ -145,11 +141,7 @@ void print_usage(std::FILE* out) {
                " (Perfetto /\n"
                "               chrome://tracing) of the first computed"
                " chunk's\n"
-               "               first seed; never affects results\n"
-               "  --trace-filter REGEX\n"
-               "               keep only trace events whose name matches"
-               " (requires\n"
-               "               --trace-out)\n");
+               "               first seed; never affects results\n");
 }
 
 bool parse_positive_long(const char* text, long* out) {
@@ -226,9 +218,6 @@ bool parse_args(int argc, char** argv, Options* options) {
         return false;
       }
       ++i;
-    } else if (arg == "--window") {
-      if (!parse_int_flag(arg, next, 1, &options->window)) return false;
-      ++i;
     } else if (arg == "--throttle-ms") {
       if (!parse_int_flag(arg, next, 0, &options->throttle_ms)) return false;
       ++i;
@@ -268,13 +257,6 @@ bool parse_args(int argc, char** argv, Options* options) {
         return false;
       }
       options->trace_path = next;
-      ++i;
-    } else if (arg == "--trace-filter") {
-      if (next == nullptr || *next == '\0') {
-        std::fprintf(stderr, "wsync_run: --trace-filter needs a regex\n");
-        return false;
-      }
-      options->trace_filter = next;
       ++i;
     } else if (arg == "--filter") {
       if (next == nullptr || *next == '\0') {
@@ -320,11 +302,6 @@ bool parse_args(int argc, char** argv, Options* options) {
   }
   if (options->resume && options->checkpoint_path.empty()) {
     std::fprintf(stderr, "wsync_run: --resume requires --checkpoint PATH\n");
-    return false;
-  }
-  if (!options->trace_filter.empty() && options->trace_path.empty()) {
-    std::fprintf(stderr,
-                 "wsync_run: --trace-filter requires --trace-out PATH\n");
     return false;
   }
   for (const auto& [name, rounds] : options->max_rounds_overrides) {
@@ -416,6 +393,17 @@ Scenario with_round_budget(const Scenario& scenario,
     point.engine = options.engine;
   }
   return overridden;
+}
+
+/// Flushes an open export file; if any write to it failed, prints the error
+/// and clears `*written`. A write error such as a full disk may surface
+/// only at this flush.
+void check_written(std::optional<std::ofstream>& file, const char* flag,
+                   const std::string& path, bool* written) {
+  if (!file.has_value() || file->flush()) return;
+  std::fprintf(stderr, "wsync_run: error writing %s '%s'\n", flag,
+               path.c_str());
+  *written = false;
 }
 
 /// Streams the CLI's per-scenario stdout report and feeds the export
@@ -572,13 +560,7 @@ int run_selection(const Options& options) {
       return 2;
     }
     trace_writer.emplace(*trace_file);
-    try {
-      trace_sink.emplace(&*trace_writer, options.trace_filter);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "wsync_run: bad --trace-filter '%s': %s\n",
-                   options.trace_filter.c_str(), error.what());
-      return 2;
-    }
+    trace_sink.emplace(&*trace_writer);
   }
 
   telemetry::MetricsRegistry registry;
@@ -588,7 +570,6 @@ int run_selection(const Options& options) {
   CliSink sink(json_writer.has_value() ? &*json_writer : nullptr,
                csv_writer.has_value() ? &*csv_writer : nullptr);
   StreamingSweepOptions sweep_options;
-  sweep_options.window = static_cast<size_t>(options.window);
   sweep_options.checkpoint =
       checkpoint.has_value() ? &*checkpoint : nullptr;
   sweep_options.resume = options.resume ? &resumed : nullptr;
@@ -617,8 +598,6 @@ int run_selection(const Options& options) {
     registry.gauge("stage_sweep_millis", timing).set(sweep_millis);
     registry.counter("pool_tasks_executed", timing)
         .add(pool_stats.tasks_executed);
-    registry.counter("pool_tasks_stolen", timing)
-        .add(pool_stats.tasks_stolen);
     registry.gauge("pool_busy_millis", timing)
         .set(static_cast<double>(pool_stats.busy_nanos) / 1e6);
     registry.gauge("pool_peak_pending", timing)
@@ -633,12 +612,13 @@ int run_selection(const Options& options) {
                        capacity_millis
                  : 0.0);
     metrics.write_json(*metrics_file);
-    if (!*metrics_file) {
-      std::fprintf(stderr, "wsync_run: error writing --metrics-out '%s'\n",
-                   options.metrics_path.c_str());
-      return 2;
-    }
   }
+  bool written = true;
+  check_written(json_file, "--json", options.json_path, &written);
+  check_written(csv_file, "--csv", options.csv_path, &written);
+  check_written(trace_file, "--trace-out", options.trace_path, &written);
+  check_written(metrics_file, "--metrics-out", options.metrics_path, &written);
+  if (!written) return 2;
 
   std::printf("%zu scenario(s), %d failed\n", plan.scenarios.size(),
               outcome.failed_scenarios);

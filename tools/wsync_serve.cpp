@@ -1,7 +1,7 @@
 // wsync_serve — the line-oriented scenario job server.
 //
 //   wsync_serve [--jobs PATH] [--workers W] [--json PATH] [--csv PATH]
-//               [--window K] [--deadline-ms MS]
+//               [--deadline-ms MS]
 //
 // Reads jobs one per line from --jobs (default: stdin) and streams results
 // back on stdout, so a driver can feed a long grid through one warm process
@@ -24,8 +24,7 @@
 //
 // After each executed job the server prints one telemetry line:
 //
-//   stat jobs=N failed=M job_millis=X pool_busy_millis=Y
-//        pool_tasks=T pool_stolen=S
+//   stat jobs=N failed=M job_millis=X pool_busy_millis=Y pool_tasks=T
 //
 // job_millis is the just-finished job's wall time (telemetry Stopwatch);
 // the pool_* figures are cumulative since startup. stat lines are
@@ -41,10 +40,12 @@
 // and still reflected in the exit status.
 //
 // Exit status: 0 when every executed job met its expectations, 1 when any
-// scenario FAILED, 2 on a malformed job line, an unknown scenario name, or
-// a bad flag (stderr says which; nothing after the bad line executes),
-// 3 when the --deadline-ms watchdog fired (and no executed job FAILED —
-// job failures keep exit 1).
+// scenario FAILED, 2 on a malformed job line, an unknown scenario name, a
+// bad flag (stderr says which; nothing after the bad line executes) or a
+// failed write to the --json/--csv export (checked at shutdown: a write
+// error such as a full disk surfaces only when the file flushes), 3 when
+// the --deadline-ms watchdog fired (and no executed job FAILED — job
+// failures keep exit 1).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -71,7 +72,6 @@ struct Options {
   int workers = 0;        // 0 = ThreadPool::default_workers()
   std::string json_path;
   std::string csv_path;
-  int window = 0;         // 0 = 2 x workers
   long deadline_ms = -1;  // < 0 = no watchdog
 };
 
@@ -79,7 +79,7 @@ void print_usage(std::FILE* out) {
   std::fprintf(out,
                "usage: wsync_serve [--jobs PATH] [--workers W]"
                " [--json PATH] [--csv PATH]\n"
-               "                   [--window K] [--deadline-ms MS]\n"
+               "                   [--deadline-ms MS]\n"
                "\n"
                "  --jobs PATH      read job lines from PATH instead of"
                " stdin\n"
@@ -88,9 +88,6 @@ void print_usage(std::FILE* out) {
                " PATH\n"
                "  --csv PATH       stream one flat CSV row per grid point"
                " to PATH\n"
-               "  --window K       chunks scheduled past the merge"
-               " frontier\n"
-               "                   (default: 2 x workers)\n"
                "  --deadline-ms MS stop accepting jobs once MS ms have"
                " elapsed\n"
                "                   (operational watchdog; never affects"
@@ -151,9 +148,6 @@ bool parse_args(int argc, char** argv, Options* options) {
         return false;
       }
       ++i;
-    } else if (arg == "--window") {
-      if (!parse_int_flag(arg, next, 1, &options->window)) return false;
-      ++i;
     } else if (arg == "--deadline-ms") {
       if (!parse_long_flag(arg, next, 0, &options->deadline_ms)) {
         return false;
@@ -193,6 +187,17 @@ Scenario with_overrides(const Scenario& scenario, const ServeJob& job) {
     point.engine = job.engine;
   }
   return overridden;
+}
+
+/// Flushes an open export file; if any write to it failed, prints the error
+/// and clears `*written`. A write error such as a full disk may surface
+/// only at this flush.
+void check_written(std::optional<std::ofstream>& file, const char* flag,
+                   const std::string& path, bool* written) {
+  if (!file.has_value() || file->flush()) return;
+  std::fprintf(stderr, "wsync_serve: error writing %s '%s'\n", flag,
+               path.c_str());
+  *written = false;
 }
 
 /// Streams the protocol's begin/point/fail/end lines and feeds the export
@@ -348,10 +353,8 @@ int serve(const Options& options, std::istream& jobs) {
     const telemetry::Stopwatch job_watch;
     try {
       const SweepPlan plan = make_plan(planned, job->seeds);
-      StreamingSweepOptions sweep_options;
-      sweep_options.window = static_cast<size_t>(options.window);
       sink.set_plan(&plan);
-      outcome = run_streaming_sweep(plan, pool, sweep_options, sink);
+      outcome = run_streaming_sweep(plan, pool, StreamingSweepOptions{}, sink);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "wsync_serve: %s\n", error.what());
       return 2;
@@ -360,17 +363,20 @@ int serve(const Options& options, std::istream& jobs) {
     if (outcome.failed_scenarios > 0) ++failed_jobs;
     const ThreadPool::Stats pool_stats = pool.stats();
     std::printf("stat jobs=%zu failed=%d job_millis=%.3f "
-                "pool_busy_millis=%.3f pool_tasks=%lld pool_stolen=%lld\n",
+                "pool_busy_millis=%.3f pool_tasks=%lld\n",
                 executed_jobs, failed_jobs, job_watch.elapsed_millis(),
                 static_cast<double>(pool_stats.busy_nanos) / 1e6,
-                static_cast<long long>(pool_stats.tasks_executed),
-                static_cast<long long>(pool_stats.tasks_stolen));
+                static_cast<long long>(pool_stats.tasks_executed));
     std::fflush(stdout);
     // Deadline-fires-during-drain: latch before blocking on the next line.
     if (check_deadline()) break;
   }
 
   if (json_writer.has_value()) json_writer->finish();
+  bool written = true;
+  check_written(json_file, "--json", options.json_path, &written);
+  check_written(csv_file, "--csv", options.csv_path, &written);
+  if (!written) return 2;
   std::printf("serve: done (%zu job(s), %d failed)\n", executed_jobs,
               failed_jobs);
   if (failed_jobs > 0) return 1;
