@@ -2,10 +2,10 @@
 #ifndef WSYNC_BENCH_BENCH_UTIL_H_
 #define WSYNC_BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <utility>
+
+#include "src/telemetry/stopwatch.h"
 
 namespace wsync::bench {
 
@@ -18,38 +18,15 @@ inline void note(const std::string& text) {
   std::printf("%s\n", text.c_str());
 }
 
-/// One of the three sanctioned wall-clock sites (the `wallclock` rule in
-/// tools/wsync_lint; the others are src/service/deadline.h and
-/// src/telemetry/stopwatch.h): every bench measures elapsed time through
-/// this stopwatch, and nothing outside those sites may read a clock at
-/// all — results must be a function of (spec, seed) only, never of wall
+/// The bench clock: the telemetry Stopwatch, the repo's one sanctioned
+/// wall-clock site (the `wallclock` rule in tools/wsync_lint), read in
+/// seconds. Results must be a function of (spec, seed) only, never of wall
 /// time.
-class Stopwatch {
+class Stopwatch : public telemetry::Stopwatch {
  public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-
   /// Seconds elapsed since construction or the last reset().
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
-  double millis() const { return seconds() * 1e3; }
-
- private:
-  std::chrono::steady_clock::time_point start_;
+  double seconds() const { return elapsed_seconds(); }
 };
-
-/// Wall-clock milliseconds of one call to `fn`.
-template <typename Fn>
-double time_ms(Fn&& fn) {
-  Stopwatch watch;
-  std::forward<Fn>(fn)();
-  return watch.millis();
-}
 
 /// Compiler barrier: keeps `value` (and everything feeding it) alive in a
 /// timed loop without the cost of a volatile store.

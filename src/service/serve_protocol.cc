@@ -14,15 +14,6 @@ namespace {
                               "'");
 }
 
-bool parse_positive(const std::string& text, long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long parsed = std::strtol(text.c_str(), &end, 10);
-  if (*end != '\0' || parsed < 1 || parsed > (1L << 40)) return false;
-  *out = parsed;
-  return true;
-}
-
 /// Applies one key=value option token to `job`; registers which keys were
 /// seen so duplicates are rejected.
 void apply_option(const std::string& line, const std::string& token,
@@ -40,15 +31,14 @@ void apply_option(const std::string& line, const std::string& token,
 
   long parsed = 0;
   if (key == "seeds") {
-    if (!parse_positive(value, &parsed) || parsed > 1 << 20) {
+    if (!parse_bounded(value, 1, 1L << 20, &parsed)) {
       malformed(line, "bad seeds value '" + value + "'");
     }
     job->seeds = static_cast<int>(parsed);
   } else if (key == "max_rounds") {
-    if (!parse_positive(value, &parsed)) {
+    if (!parse_bounded(value, 1, 1L << 40, &job->max_rounds)) {
       malformed(line, "bad max_rounds value '" + value + "'");
     }
-    job->max_rounds = parsed;
   } else if (key == "engine") {
     if (!parse_engine_mode(value, &job->engine)) {
       malformed(line, "bad engine value '" + value +
@@ -71,6 +61,19 @@ bool parse_engine_mode(const std::string& text, EngineMode* mode) {
   } else {
     return false;
   }
+  return true;
+}
+
+bool parse_bounded(const std::string& text, long min, long max, long* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const long parsed = std::strtol(begin, &end, 10);
+  // end must reach the last byte, so an embedded NUL is trailing junk too.
+  if (end == begin || end != begin + text.size() || parsed < min ||
+      parsed > max) {
+    return false;
+  }
+  *out = parsed;
   return true;
 }
 

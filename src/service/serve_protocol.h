@@ -49,6 +49,14 @@ std::optional<ServeJob> parse_job_line(const std::string& line);
 /// two CLIs cannot drift.
 bool parse_engine_mode(const std::string& text, EngineMode* mode);
 
+/// Parses a base-10 integer in [min, max] with strtol syntax (leading
+/// whitespace and one sign allowed, nothing after the digits, not even a
+/// NUL); returns false on empty text, trailing junk or a value out of
+/// range. Every numeric flag and job option of both CLIs goes through this
+/// one check. With LONG_MIN < min and max < LONG_MAX, an overflowing value
+/// (strtol clamps it) is always out of range.
+bool parse_bounded(const std::string& text, long min, long max, long* out);
+
 }  // namespace wsync
 
 #endif  // WSYNC_SERVICE_SERVE_PROTOCOL_H_

@@ -81,6 +81,12 @@ SweepPlan make_plan(const std::vector<const Scenario*>& selected,
   plan.scenarios.reserve(selected.size());
   for (const Scenario* scenario : selected) {
     validate(*scenario);
+    for (const PlannedScenario& earlier : plan.scenarios) {
+      if (earlier.scenario.name == scenario->name) {
+        throw std::invalid_argument("scenario '" + scenario->name +
+                                    "' selected twice");
+      }
+    }
     PlannedScenario planned;
     planned.scenario = *scenario;
     planned.seeds =
@@ -88,6 +94,21 @@ SweepPlan make_plan(const std::vector<const Scenario*>& selected,
     plan.scenarios.push_back(std::move(planned));
   }
   return plan;
+}
+
+void apply_overrides(const PlanOverrides& overrides, SweepPlan* plan) {
+  const auto& by_name = overrides.max_rounds_by_scenario;
+  for (PlannedScenario& planned : plan->scenarios) {
+    const auto named = by_name.find(planned.scenario.name);
+    const long rounds =
+        named != by_name.end() ? named->second : overrides.max_rounds;
+    for (ExperimentPoint& point : planned.scenario.grid) {
+      if (rounds != 0) point.max_rounds = rounds;
+      if (overrides.engine != EngineMode::kAuto) {
+        point.engine = overrides.engine;
+      }
+    }
+  }
 }
 
 uint64_t plan_fingerprint(const SweepPlan& plan) {

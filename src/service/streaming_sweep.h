@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,25 @@ struct SweepPlan {
 };
 
 /// Builds a validated plan: `seeds_override > 0` replaces every scenario's
-/// default_seeds. Throws std::invalid_argument on an invalid scenario.
+/// default_seeds. Throws std::invalid_argument on an invalid scenario or
+/// on a scenario selected twice (chunks are keyed by scenario name).
 SweepPlan make_plan(const std::vector<const Scenario*>& selected,
                     int seeds_override);
+
+/// The per-point overrides a front end takes: wsync_run's --max-rounds and
+/// --engine flags, or a served job's max_rounds= and engine= options.
+struct PlanOverrides {
+  /// Liveness budget for every point; 0 = each point keeps its own.
+  long max_rounds = 0;
+  /// Per-scenario budgets (wsync_run's NAME=K); these win over max_rounds.
+  std::map<std::string, long> max_rounds_by_scenario;
+  /// Engine policy for every point; kAuto = each point keeps its own.
+  EngineMode engine = EngineMode::kAuto;
+};
+
+/// Applies `overrides` to the plan's own scenario copies. Call it before
+/// plan_fingerprint: max_rounds is a fingerprinted point field.
+void apply_overrides(const PlanOverrides& overrides, SweepPlan* plan);
 
 /// Fingerprint binding a checkpoint to this plan: scenario names, seed
 /// counts, and every kPointFields entry not marked kSkip. That leaves out

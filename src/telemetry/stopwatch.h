@@ -1,13 +1,16 @@
-// The sanctioned wall-clock site for telemetry timing metrics.
+// The repo's one sanctioned wall-clock site.
 //
-// wsync_lint bans wall-clock reads everywhere except the bench stopwatch
-// (bench/bench_util.h), the service deadline (src/service/deadline.h) and
-// this header, because a clock read that feeds a result silently breaks
-// every byte-identity wall in the repo. A telemetry Stopwatch may only ever
-// feed MetricClass::kTiming metrics — wall-clock observations that are
-// excluded from every bit-identity wall — never a simulation outcome or a
-// deterministic metric. Keep every steady_clock mention inside this file;
-// callers use the Stopwatch API, which wsync_lint treats as ordinary code.
+// wsync_lint bans wall-clock reads everywhere but this header, because a
+// clock read that feeds a result silently breaks every byte-identity wall
+// in the repo. A Stopwatch may time three things, and never a simulation
+// outcome or a deterministic metric:
+//   - MetricClass::kTiming metrics, which every bit-identity wall excludes;
+//   - bench timings (bench::Stopwatch in bench/bench_util.h derives from
+//     this class);
+//   - wsync_serve's --deadline-ms watchdog, which only gates whether the
+//     server keeps accepting jobs, never what an accepted job computes.
+// Keep every steady_clock mention inside this file; callers use the
+// Stopwatch API, which wsync_lint treats as ordinary code.
 //
 // Header-only and dependency-free on purpose: any layer (including
 // src/common's ThreadPool, which sits below the telemetry library) can

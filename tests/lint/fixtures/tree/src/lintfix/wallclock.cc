@@ -1,5 +1,5 @@
-// Seeded violation: a wall-clock read outside bench/bench_util.h. Results
-// must never depend on wall time; only the bench Stopwatch may measure it.
+// Seeded violation: a wall-clock read outside src/telemetry/stopwatch.h.
+// Results must never depend on wall time; only the Stopwatch may measure it.
 #include <chrono>
 #include <cstdint>
 

@@ -1,6 +1,5 @@
-// Seeded violation: a wall-clock read in src/service/ but OUTSIDE the
-// whitelisted deadline.h — the whitelist is the single file, not the
-// directory. Service code paces I/O through the Deadline API only.
+// Seeded violation: a wall-clock read in src/service/. Service code has no
+// clock of its own; a watchdog reads the telemetry Stopwatch API.
 #include <chrono>
 #include <cstdint>
 

@@ -1,7 +1,6 @@
-// Whitelist fixture: src/telemetry/stopwatch.h is the third sanctioned
-// wall-clock site (the telemetry stopwatch, kTiming metrics only), so
-// these steady_clock reads must NOT be flagged — asserted by this file's
-// absence from expected.txt.
+// Whitelist fixture: src/telemetry/stopwatch.h is the one sanctioned
+// wall-clock site, so these steady_clock reads must NOT be flagged —
+// asserted by this file's absence from expected.txt.
 #ifndef WSYNC_LINTFIX_TELEMETRY_STOPWATCH_H_
 #define WSYNC_LINTFIX_TELEMETRY_STOPWATCH_H_
 

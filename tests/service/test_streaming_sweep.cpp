@@ -312,6 +312,48 @@ TEST(StreamingSweepTest, MakePlanValidatesAndResolvesSeeds) {
   EXPECT_THROW(make_plan({&invalid}, 0), std::invalid_argument);
 }
 
+TEST(StreamingSweepTest, MakePlanRejectsAScenarioSelectedTwice) {
+  // Checkpoint lines, resume data and metrics blocks key chunks by
+  // (scenario name, point), so a repeat would collide on resume.
+  const Scenario scenario = small_scenario("twice_fixture", 2);
+  const Scenario other = small_scenario("other_fixture", 1);
+  try {
+    make_plan({&scenario, &other, &scenario}, 0);
+    FAIL() << "a repeated scenario was planned";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "scenario 'twice_fixture' selected twice");
+  }
+}
+
+TEST(StreamingSweepTest, ApplyOverridesSetsBudgetsAndEngine) {
+  const SweepPlan base = two_scenario_plan();
+  SweepPlan plan = base;
+  PlanOverrides overrides;
+  overrides.max_rounds = 70;
+  overrides.max_rounds_by_scenario["beta_fixture"] = 90;  // wins
+  overrides.engine = EngineMode::kDense;
+  apply_overrides(overrides, &plan);
+  for (const ExperimentPoint& point : plan.scenarios[0].scenario.grid) {
+    EXPECT_EQ(point.max_rounds, 70);
+    EXPECT_EQ(point.engine, EngineMode::kDense);
+  }
+  for (const ExperimentPoint& point : plan.scenarios[1].scenario.grid) {
+    EXPECT_EQ(point.max_rounds, 90);
+  }
+  // The budget is fingerprinted: a checkpoint must not resume under
+  // another one.
+  EXPECT_NE(plan_fingerprint(plan), plan_fingerprint(base));
+
+  // Zero and kAuto leave each point's own budget and engine.
+  SweepPlan kept = base;
+  ExperimentPoint& point = kept.scenarios[0].scenario.grid[0];
+  point.engine = EngineMode::kDense;
+  const RoundId budget = point.max_rounds;
+  apply_overrides(PlanOverrides{}, &kept);
+  EXPECT_EQ(point.engine, EngineMode::kDense);
+  EXPECT_EQ(point.max_rounds, budget);
+}
+
 // --- run_points: the adapter against the serial oracle ---------------------
 // Grid order, timeouts counted, any worker count, a reused pool, and errors
 // surfacing on the caller.

@@ -26,8 +26,9 @@
 // liveness budget of every point (bare K) or of one scenario's points
 // (NAME=K, repeatable; the per-scenario form wins). Exit status: 0 when
 // every scenario met its expected invariants (including per-point energy
-// budgets), 1 otherwise, 2 on usage errors or when writing an export
-// file fails.
+// budgets), 1 otherwise, 2 on usage errors (a scenario named twice
+// included) or when a write fails: an export file, the --checkpoint log or
+// stdout, --list included.
 //
 // --metrics-out PATH writes the wsync-metrics-v1 JSON document (see
 // src/service/run_metrics.h): the "deterministic" section is
@@ -39,8 +40,6 @@
 // attaching the sink never changes any result.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -53,6 +52,7 @@
 #include "src/scenario/report.h"
 #include "src/scenario/scenario.h"
 #include "src/service/checkpoint.h"
+#include "src/service/output_set.h"
 #include "src/service/run_metrics.h"
 #include "src/service/serve_protocol.h"
 #include "src/service/streaming_sweep.h"
@@ -73,9 +73,7 @@ struct Options {
   std::string csv_path;
   std::string filter;  // regex over scenario names; empty = unused
   std::vector<std::string> names;
-  long default_max_rounds = 0;  // 0 = no override
-  std::map<std::string, long> max_rounds_overrides;  // per scenario
-  EngineMode engine = EngineMode::kAuto;
+  PlanOverrides overrides;  // --max-rounds and --engine
   std::string checkpoint_path;  // empty = no checkpointing
   bool resume = false;
   int throttle_ms = 0;  // sleep per computed chunk (test/ops pacing)
@@ -144,33 +142,26 @@ void print_usage(std::FILE* out) {
                "               first seed; never affects results\n");
 }
 
-bool parse_positive_long(const char* text, long* out) {
-  char* end = nullptr;
-  const long parsed = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || parsed < 1 || parsed > (1L << 40)) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool parse_int_flag(const std::string& flag, const char* value, int min,
-                    int* out, int max = 1 << 20) {
+/// Parses `flag`'s value into [min, max]; false after printing why not.
+template <typename Int>
+bool parse_number_flag(const std::string& flag, const char* value, long min,
+                       long max, Int* out) {
   if (value == nullptr) {
     std::fprintf(stderr, "wsync_run: %s needs a value\n", flag.c_str());
     return false;
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < min || parsed > max) {
+  long parsed = 0;
+  if (!parse_bounded(value, min, max, &parsed)) {
     std::fprintf(stderr, "wsync_run: bad value for %s: '%s'\n", flag.c_str(),
                  value);
     return false;
   }
-  *out = static_cast<int>(parsed);
+  *out = static_cast<Int>(parsed);
   return true;
 }
 
+/// --max-rounds K sets every point's budget, --max-rounds NAME=K one
+/// scenario's.
 bool parse_max_rounds(const char* value, Options* options) {
   if (value == nullptr) {
     std::fprintf(stderr, "wsync_run: --max-rounds needs a value\n");
@@ -178,24 +169,30 @@ bool parse_max_rounds(const char* value, Options* options) {
   }
   const std::string text = value;
   const size_t eq = text.find('=');
+  const bool named = eq != std::string::npos;
+  const std::string number = named ? text.substr(eq + 1) : text;
   long rounds = 0;
-  if (eq == std::string::npos) {
-    if (!parse_positive_long(text.c_str(), &rounds)) {
-      std::fprintf(stderr, "wsync_run: bad value for --max-rounds: '%s'\n",
-                   value);
-      return false;
-    }
-    options->default_max_rounds = rounds;
-    return true;
-  }
-  const std::string name = text.substr(0, eq);
-  if (name.empty() || !parse_positive_long(text.c_str() + eq + 1, &rounds)) {
+  if (eq == 0 || !parse_bounded(number, 1, 1L << 40, &rounds)) {
     std::fprintf(stderr, "wsync_run: bad value for --max-rounds: '%s'\n",
                  value);
     return false;
   }
-  options->max_rounds_overrides[name] = rounds;
+  if (named) {
+    options->overrides.max_rounds_by_scenario[text.substr(0, eq)] = rounds;
+  } else {
+    options->overrides.max_rounds = rounds;
+  }
   return true;
+}
+
+/// The Options field a path-valued flag sets, or nullptr.
+std::string* path_field(const std::string& flag, Options* options) {
+  if (flag == "--json") return &options->json_path;
+  if (flag == "--csv") return &options->csv_path;
+  if (flag == "--checkpoint") return &options->checkpoint_path;
+  if (flag == "--metrics-out") return &options->metrics_path;
+  if (flag == "--trace-out") return &options->trace_path;
+  return nullptr;
 }
 
 bool parse_args(int argc, char** argv, Options* options) {
@@ -210,54 +207,30 @@ bool parse_args(int argc, char** argv, Options* options) {
     } else if (arg == "--all") {
       options->all = true;
     } else if (arg == "--seeds") {
-      if (!parse_int_flag(arg, next, 1, &options->seeds)) return false;
+      if (!parse_number_flag(arg, next, 1, 1 << 20, &options->seeds)) {
+        return false;
+      }
       ++i;
     } else if (arg == "--workers") {
-      if (!parse_int_flag(arg, next, 1, &options->workers,
-                          ThreadPool::kMaxWorkers)) {
+      if (!parse_number_flag(arg, next, 1, ThreadPool::kMaxWorkers,
+                          &options->workers)) {
         return false;
       }
       ++i;
     } else if (arg == "--throttle-ms") {
-      if (!parse_int_flag(arg, next, 0, &options->throttle_ms)) return false;
-      ++i;
-    } else if (arg == "--json") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_run: --json needs a path\n");
+      if (!parse_number_flag(arg, next, 0, 1 << 20, &options->throttle_ms)) {
         return false;
       }
-      options->json_path = next;
       ++i;
-    } else if (arg == "--csv") {
+    } else if (std::string* path = path_field(arg, options)) {
       if (next == nullptr) {
-        std::fprintf(stderr, "wsync_run: --csv needs a path\n");
+        std::fprintf(stderr, "wsync_run: %s needs a path\n", arg.c_str());
         return false;
       }
-      options->csv_path = next;
-      ++i;
-    } else if (arg == "--checkpoint") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_run: --checkpoint needs a path\n");
-        return false;
-      }
-      options->checkpoint_path = next;
+      *path = next;
       ++i;
     } else if (arg == "--resume") {
       options->resume = true;
-    } else if (arg == "--metrics-out") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_run: --metrics-out needs a path\n");
-        return false;
-      }
-      options->metrics_path = next;
-      ++i;
-    } else if (arg == "--trace-out") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_run: --trace-out needs a path\n");
-        return false;
-      }
-      options->trace_path = next;
-      ++i;
     } else if (arg == "--filter") {
       if (next == nullptr || *next == '\0') {
         std::fprintf(stderr, "wsync_run: --filter needs a regex\n");
@@ -273,7 +246,7 @@ bool parse_args(int argc, char** argv, Options* options) {
         std::fprintf(stderr, "wsync_run: --engine needs a value\n");
         return false;
       }
-      if (!parse_engine_mode(next, &options->engine)) {
+      if (!parse_engine_mode(next, &options->overrides.engine)) {
         std::fprintf(stderr,
                      "wsync_run: bad value for --engine: '%s' (want %s, %s "
                      "or %s)\n",
@@ -304,7 +277,8 @@ bool parse_args(int argc, char** argv, Options* options) {
     std::fprintf(stderr, "wsync_run: --resume requires --checkpoint PATH\n");
     return false;
   }
-  for (const auto& [name, rounds] : options->max_rounds_overrides) {
+  for (const auto& [name, rounds] :
+       options->overrides.max_rounds_by_scenario) {
     if (ScenarioRegistry::find(name) == nullptr) {
       std::fprintf(stderr,
                    "wsync_run: --max-rounds names unknown scenario '%s' "
@@ -374,44 +348,14 @@ int list_catalog(const Options& options) {
       "\nAll scenarios additionally expect zero synch-commit violations\n"
       "(no output is ever retracted to bottom) and zero energy-budget\n"
       "violations on points that set one.\n");
-  return 0;
+  return OutputSet("wsync_run").finish() ? 0 : 2;
 }
 
-/// The scenario with any --max-rounds and --engine overrides applied to
-/// every point.
-Scenario with_round_budget(const Scenario& scenario,
-                           const Options& options) {
-  long rounds = options.default_max_rounds;
-  if (const auto it = options.max_rounds_overrides.find(scenario.name);
-      it != options.max_rounds_overrides.end()) {
-    rounds = it->second;
-  }
-  if (rounds == 0 && options.engine == EngineMode::kAuto) return scenario;
-  Scenario overridden = scenario;
-  for (ExperimentPoint& point : overridden.grid) {
-    if (rounds != 0) point.max_rounds = rounds;
-    point.engine = options.engine;
-  }
-  return overridden;
-}
-
-/// Flushes an open export file; if any write to it failed, prints the error
-/// and clears `*written`. A write error such as a full disk may surface
-/// only at this flush.
-void check_written(std::optional<std::ofstream>& file, const char* flag,
-                   const std::string& path, bool* written) {
-  if (!file.has_value() || file->flush()) return;
-  std::fprintf(stderr, "wsync_run: error writing %s '%s'\n", flag,
-               path.c_str());
-  *written = false;
-}
-
-/// Streams the CLI's per-scenario stdout report and feeds the export
-/// writers, all in catalog order as the sweep service merges chunks.
+/// Streams the CLI's per-scenario stdout report and feeds the exports, all
+/// in catalog order as the sweep service merges chunks.
 class CliSink : public ChunkSink {
  public:
-  CliSink(StreamingJsonWriter* json, StreamingCsvWriter* csv)
-      : json_(json), csv_(csv) {}
+  explicit CliSink(OutputSet* outputs) : outputs_(outputs) {}
 
   void on_scenario_begin(size_t /*scenario_index*/,
                          const PlannedScenario& planned) override {
@@ -433,16 +377,11 @@ class CliSink : public ChunkSink {
     }
     std::printf("%s\n\n", failures.empty() ? "ok" : "FAILED");
     std::fflush(stdout);
-    if (json_ != nullptr) {
-      json_->add_scenario(planned.scenario, planned.seeds, results,
-                          failures);
-    }
-    if (csv_ != nullptr) csv_->add(planned.scenario, results);
+    outputs_->add_scenario(planned, results, failures);
   }
 
  private:
-  StreamingJsonWriter* json_;
-  StreamingCsvWriter* csv_;
+  OutputSet* outputs_;
 };
 
 int run_selection(const Options& options) {
@@ -468,24 +407,14 @@ int run_selection(const Options& options) {
     }
   }
 
-  // Apply the CLI overrides, then hand the ordered selection to the sweep
-  // service as one plan.
-  std::vector<Scenario> overridden;
-  overridden.reserve(selected.size());
-  for (const Scenario* scenario : selected) {
-    overridden.push_back(with_round_budget(*scenario, options));
-  }
-  std::vector<const Scenario*> planned;
-  planned.reserve(overridden.size());
-  for (const Scenario& scenario : overridden) planned.push_back(&scenario);
-
   SweepPlan plan;
   try {
-    plan = make_plan(planned, options.seeds);
+    plan = make_plan(selected, options.seeds);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "wsync_run: %s\n", error.what());
     return 2;
   }
+  apply_overrides(options.overrides, &plan);
   const uint64_t fingerprint = plan_fingerprint(plan);
 
   CheckpointData resumed;
@@ -505,60 +434,21 @@ int run_selection(const Options& options) {
     resumed = std::move(load.chunks);
   }
 
-  std::optional<CheckpointWriter> checkpoint;
-  if (!options.checkpoint_path.empty()) {
-    checkpoint.emplace(options.checkpoint_path, fingerprint,
-                       options.resume);
-    if (!checkpoint->ok()) {
-      std::fprintf(stderr, "wsync_run: cannot write --checkpoint '%s'\n",
-                   options.checkpoint_path.c_str());
-      return 2;
-    }
+  // Every output opens up front, so an unwritable path fails fast instead
+  // of after the whole run.
+  OutputSet outputs("wsync_run");
+  if (!outputs.open_checkpoint(options.checkpoint_path, fingerprint,
+                               options.resume) ||
+      !outputs.open("--json", options.json_path) ||
+      !outputs.open("--csv", options.csv_path) ||
+      !outputs.open("--metrics-out", options.metrics_path) ||
+      !outputs.open("--trace-out", options.trace_path)) {
+    return 2;
   }
-
-  // Exports stream to disk as scenarios complete; opening up front fails
-  // fast on an unwritable path instead of after the whole run.
-  std::optional<std::ofstream> json_file;
-  std::optional<StreamingJsonWriter> json_writer;
-  if (!options.json_path.empty()) {
-    json_file.emplace(options.json_path);
-    if (!*json_file) {
-      std::fprintf(stderr, "wsync_run: cannot write --json '%s'\n",
-                   options.json_path.c_str());
-      return 2;
-    }
-    json_writer.emplace(*json_file);
-  }
-  std::optional<std::ofstream> csv_file;
-  std::optional<StreamingCsvWriter> csv_writer;
-  if (!options.csv_path.empty()) {
-    csv_file.emplace(options.csv_path);
-    if (!*csv_file) {
-      std::fprintf(stderr, "wsync_run: cannot write --csv '%s'\n",
-                   options.csv_path.c_str());
-      return 2;
-    }
-    csv_writer.emplace(*csv_file);
-  }
-  std::optional<std::ofstream> metrics_file;
-  if (!options.metrics_path.empty()) {
-    metrics_file.emplace(options.metrics_path);
-    if (!*metrics_file) {
-      std::fprintf(stderr, "wsync_run: cannot write --metrics-out '%s'\n",
-                   options.metrics_path.c_str());
-      return 2;
-    }
-  }
-  std::optional<std::ofstream> trace_file;
+  std::ostream* metrics_file = outputs.file("--metrics-out");
   std::optional<telemetry::ChromeTraceWriter> trace_writer;
   std::optional<telemetry::TelemetrySink> trace_sink;
-  if (!options.trace_path.empty()) {
-    trace_file.emplace(options.trace_path);
-    if (!*trace_file) {
-      std::fprintf(stderr, "wsync_run: cannot write --trace-out '%s'\n",
-                   options.trace_path.c_str());
-      return 2;
-    }
+  if (std::ostream* trace_file = outputs.file("--trace-out")) {
     trace_writer.emplace(*trace_file);
     trace_sink.emplace(&*trace_writer);
   }
@@ -567,14 +457,12 @@ int run_selection(const Options& options) {
   RunMetricsCollector metrics(&registry);
 
   ThreadPool pool(options.workers);
-  CliSink sink(json_writer.has_value() ? &*json_writer : nullptr,
-               csv_writer.has_value() ? &*csv_writer : nullptr);
+  CliSink sink(&outputs);
   StreamingSweepOptions sweep_options;
-  sweep_options.checkpoint =
-      checkpoint.has_value() ? &*checkpoint : nullptr;
+  sweep_options.checkpoint = outputs.checkpoint();
   sweep_options.resume = options.resume ? &resumed : nullptr;
   sweep_options.throttle_ms = options.throttle_ms;
-  sweep_options.metrics = metrics_file.has_value() ? &metrics : nullptr;
+  sweep_options.metrics = metrics_file != nullptr ? &metrics : nullptr;
   sweep_options.trace = trace_sink.has_value() ? &*trace_sink : nullptr;
 
   const telemetry::Stopwatch sweep_watch;
@@ -585,10 +473,9 @@ int run_selection(const Options& options) {
     std::fprintf(stderr, "wsync_run: %s\n", error.what());
     return 2;
   }
-  if (json_writer.has_value()) json_writer->finish();
   if (trace_writer.has_value()) trace_writer->close();
 
-  if (metrics_file.has_value()) {
+  if (metrics_file != nullptr) {
     // Timing metrics land in the "timing" section only — the walls and CI
     // diff "deterministic" alone, so wall-clock and pool-schedule noise
     // here is harmless by construction.
@@ -613,15 +500,10 @@ int run_selection(const Options& options) {
                  : 0.0);
     metrics.write_json(*metrics_file);
   }
-  bool written = true;
-  check_written(json_file, "--json", options.json_path, &written);
-  check_written(csv_file, "--csv", options.csv_path, &written);
-  check_written(trace_file, "--trace-out", options.trace_path, &written);
-  check_written(metrics_file, "--metrics-out", options.metrics_path, &written);
-  if (!written) return 2;
 
   std::printf("%zu scenario(s), %d failed\n", plan.scenarios.size(),
               outcome.failed_scenarios);
+  if (!outputs.finish()) return 2;
   return outcome.failed_scenarios == 0 ? 0 : 1;
 }
 

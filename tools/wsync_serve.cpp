@@ -31,21 +31,21 @@
 // operational observability only — they never appear in the exports, and
 // drivers parsing point/end lines can ignore them.
 //
-// --deadline-ms arms an operational watchdog (the sanctioned Deadline
-// wall-clock site): once expired the server stops accepting jobs after the
-// current one and prints `serve: deadline reached`. It gates acceptance
-// only — results never depend on it. Expiry is latched at every shutdown
-// path (loop top, after a job drains, stdin EOF, quit), so a deadline that
-// fires while a job is draining or while getline blocks is still reported
-// and still reflected in the exit status.
+// --deadline-ms arms an operational watchdog, a telemetry Stopwatch started
+// before `serve: ready`: once it reads past the deadline the server stops
+// accepting jobs after the current one and prints `serve: deadline
+// reached`. It gates acceptance only — results never depend on it. Expiry
+// is latched at every shutdown path (loop top, after a job drains, stdin
+// EOF, quit), so a deadline that fires while a job is draining or while
+// getline blocks is still reported and still reflected in the exit status.
 //
 // Exit status: 0 when every executed job met its expectations, 1 when any
 // scenario FAILED, 2 on a malformed job line, an unknown scenario name, a
 // bad flag (stderr says which; nothing after the bad line executes) or a
-// failed write to the --json/--csv export (checked at shutdown: a write
-// error such as a full disk surfaces only when the file flushes), 3 when
-// the --deadline-ms watchdog fired (and no executed job FAILED — job
-// failures keep exit 1).
+// failed write to stdout or the --json/--csv export (checked at shutdown:
+// a write error such as a full disk surfaces only when the stream
+// flushes), 3 when the --deadline-ms watchdog fired (and no executed job
+// FAILED — job failures keep exit 1).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,7 +59,7 @@
 #include "src/scenario/registry.h"
 #include "src/scenario/report.h"
 #include "src/scenario/scenario.h"
-#include "src/service/deadline.h"
+#include "src/service/output_set.h"
 #include "src/service/serve_protocol.h"
 #include "src/service/streaming_sweep.h"
 #include "src/telemetry/stopwatch.h"
@@ -103,29 +103,30 @@ void print_usage(std::FILE* out) {
                "  quit\n");
 }
 
-bool parse_long_flag(const std::string& flag, const char* value, long min,
-                     long* out, long max = 1L << 40) {
+/// Parses `flag`'s value into [min, max]; false after printing why not.
+template <typename Int>
+bool parse_number_flag(const std::string& flag, const char* value, long min,
+                       long max, Int* out) {
   if (value == nullptr) {
     std::fprintf(stderr, "wsync_serve: %s needs a value\n", flag.c_str());
     return false;
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < min || parsed > max) {
+  long parsed = 0;
+  if (!parse_bounded(value, min, max, &parsed)) {
     std::fprintf(stderr, "wsync_serve: bad value for %s: '%s'\n",
                  flag.c_str(), value);
     return false;
   }
-  *out = parsed;
+  *out = static_cast<Int>(parsed);
   return true;
 }
 
-bool parse_int_flag(const std::string& flag, const char* value, int min,
-                    int* out, int max = 1 << 20) {
-  long parsed = 0;
-  if (!parse_long_flag(flag, value, min, &parsed, max)) return false;
-  *out = static_cast<int>(parsed);
-  return true;
+/// The Options field a path-valued flag sets, or nullptr.
+std::string* path_field(const std::string& flag, Options* options) {
+  if (flag == "--jobs") return &options->jobs_path;
+  if (flag == "--json") return &options->json_path;
+  if (flag == "--csv") return &options->csv_path;
+  return nullptr;
 }
 
 bool parse_args(int argc, char** argv, Options* options) {
@@ -135,37 +136,23 @@ bool parse_args(int argc, char** argv, Options* options) {
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout);
       std::exit(0);
-    } else if (arg == "--jobs") {
+    } else if (std::string* path = path_field(arg, options)) {
       if (next == nullptr) {
-        std::fprintf(stderr, "wsync_serve: --jobs needs a path\n");
+        std::fprintf(stderr, "wsync_serve: %s needs a path\n", arg.c_str());
         return false;
       }
-      options->jobs_path = next;
+      *path = next;
       ++i;
     } else if (arg == "--workers") {
-      if (!parse_int_flag(arg, next, 1, &options->workers,
-                          ThreadPool::kMaxWorkers)) {
+      if (!parse_number_flag(arg, next, 1, ThreadPool::kMaxWorkers,
+                             &options->workers)) {
         return false;
       }
       ++i;
     } else if (arg == "--deadline-ms") {
-      if (!parse_long_flag(arg, next, 0, &options->deadline_ms)) {
+      if (!parse_number_flag(arg, next, 0, 1L << 40, &options->deadline_ms)) {
         return false;
       }
-      ++i;
-    } else if (arg == "--json") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_serve: --json needs a path\n");
-        return false;
-      }
-      options->json_path = next;
-      ++i;
-    } else if (arg == "--csv") {
-      if (next == nullptr) {
-        std::fprintf(stderr, "wsync_serve: --csv needs a path\n");
-        return false;
-      }
-      options->csv_path = next;
       ++i;
     } else {
       std::fprintf(stderr, "wsync_serve: unknown flag '%s'\n", arg.c_str());
@@ -175,38 +162,12 @@ bool parse_args(int argc, char** argv, Options* options) {
   return true;
 }
 
-/// The scenario with a job's max_rounds/engine overrides applied to every
-/// point (mirrors wsync_run's --max-rounds/--engine semantics).
-Scenario with_overrides(const Scenario& scenario, const ServeJob& job) {
-  if (job.max_rounds == 0 && job.engine == EngineMode::kAuto) {
-    return scenario;
-  }
-  Scenario overridden = scenario;
-  for (ExperimentPoint& point : overridden.grid) {
-    if (job.max_rounds != 0) point.max_rounds = job.max_rounds;
-    point.engine = job.engine;
-  }
-  return overridden;
-}
-
-/// Flushes an open export file; if any write to it failed, prints the error
-/// and clears `*written`. A write error such as a full disk may surface
-/// only at this flush.
-void check_written(std::optional<std::ofstream>& file, const char* flag,
-                   const std::string& path, bool* written) {
-  if (!file.has_value() || file->flush()) return;
-  std::fprintf(stderr, "wsync_serve: error writing %s '%s'\n", flag,
-               path.c_str());
-  *written = false;
-}
-
-/// Streams the protocol's begin/point/fail/end lines and feeds the export
-/// writers. Every line is flushed so a pipe-connected driver sees progress
+/// Streams the protocol's begin/point/fail/end lines and feeds the
+/// exports. Every line is flushed so a pipe-connected driver sees progress
 /// the moment a chunk merges.
 class ServeSink : public ChunkSink {
  public:
-  ServeSink(StreamingJsonWriter* json, StreamingCsvWriter* csv)
-      : json_(json), csv_(csv) {}
+  explicit ServeSink(OutputSet* outputs) : outputs_(outputs) {}
 
   void on_scenario_begin(size_t /*scenario_index*/,
                          const PlannedScenario& planned) override {
@@ -235,11 +196,7 @@ class ServeSink : public ChunkSink {
     std::printf("end %s %s\n", planned.scenario.name.c_str(),
                 failures.empty() ? "ok" : "FAILED");
     std::fflush(stdout);
-    if (json_ != nullptr) {
-      json_->add_scenario(planned.scenario, planned.seeds, results,
-                          failures);
-    }
-    if (csv_ != nullptr) csv_->add(planned.scenario, results);
+    outputs_->add_scenario(planned, results, failures);
   }
 
   /// on_chunk receives only indices; the serve loop points the sink at
@@ -247,41 +204,20 @@ class ServeSink : public ChunkSink {
   void set_plan(const SweepPlan* plan) { plan_ = plan; }
 
  private:
-  StreamingJsonWriter* json_;
-  StreamingCsvWriter* csv_;
+  OutputSet* outputs_;
   const SweepPlan* plan_ = nullptr;
 };
 
 int serve(const Options& options, std::istream& jobs) {
-  std::optional<std::ofstream> json_file;
-  std::optional<StreamingJsonWriter> json_writer;
-  if (!options.json_path.empty()) {
-    json_file.emplace(options.json_path);
-    if (!*json_file) {
-      std::fprintf(stderr, "wsync_serve: cannot write --json '%s'\n",
-                   options.json_path.c_str());
-      return 2;
-    }
-    json_writer.emplace(*json_file);
-  }
-  std::optional<std::ofstream> csv_file;
-  std::optional<StreamingCsvWriter> csv_writer;
-  if (!options.csv_path.empty()) {
-    csv_file.emplace(options.csv_path);
-    if (!*csv_file) {
-      std::fprintf(stderr, "wsync_serve: cannot write --csv '%s'\n",
-                   options.csv_path.c_str());
-      return 2;
-    }
-    csv_writer.emplace(*csv_file);
+  OutputSet outputs("wsync_serve");
+  if (!outputs.open("--json", options.json_path) ||
+      !outputs.open("--csv", options.csv_path)) {
+    return 2;
   }
 
   ThreadPool pool(options.workers);
-  ServeSink sink(json_writer.has_value() ? &*json_writer : nullptr,
-                 csv_writer.has_value() ? &*csv_writer : nullptr);
-  const Deadline deadline = options.deadline_ms < 0
-                                ? Deadline::never()
-                                : Deadline::after_ms(options.deadline_ms);
+  ServeSink sink(&outputs);
+  const telemetry::Stopwatch since_ready;
 
   std::printf("serve: ready\n");
   std::fflush(stdout);
@@ -290,11 +226,13 @@ int serve(const Options& options, std::istream& jobs) {
   int failed_jobs = 0;
   // Latched, not re-read at exit-code time: the watchdog can fire while a
   // job drains or while getline() blocks, and every shutdown path must
-  // agree on whether it did. Re-checking deadline.expired() independently
-  // per path let an EOF arriving after the fire report a clean exit 0.
+  // agree on whether it did. Re-reading the clock independently per path
+  // let an EOF arriving after the fire report a clean exit 0.
+  // --deadline-ms is at most 2^40, so its nanoseconds fit in 64 bits.
   bool deadline_fired = false;
   const auto check_deadline = [&]() {
-    if (!deadline_fired && deadline.expired()) {
+    if (!deadline_fired && options.deadline_ms >= 0 &&
+        since_ready.elapsed_nanos() >= options.deadline_ms * 1'000'000) {
       deadline_fired = true;
       std::printf("serve: deadline reached\n");
       std::fflush(stdout);
@@ -327,7 +265,7 @@ int serve(const Options& options, std::istream& jobs) {
       continue;
     }
 
-    std::vector<Scenario> overridden;
+    std::vector<const Scenario*> selected;
     if (job->kind == ServeJob::Kind::kRun) {
       const Scenario* scenario = ScenarioRegistry::find(job->name);
       if (scenario == nullptr) {
@@ -337,22 +275,21 @@ int serve(const Options& options, std::istream& jobs) {
                      job->name.c_str());
         return 2;
       }
-      overridden.push_back(with_overrides(*scenario, *job));
+      selected.push_back(scenario);
     } else {
       for (const Scenario& scenario : ScenarioRegistry::all()) {
-        overridden.push_back(with_overrides(scenario, *job));
+        selected.push_back(&scenario);
       }
-    }
-    std::vector<const Scenario*> planned;
-    planned.reserve(overridden.size());
-    for (const Scenario& scenario : overridden) {
-      planned.push_back(&scenario);
     }
 
     SweepOutcome outcome;
     const telemetry::Stopwatch job_watch;
     try {
-      const SweepPlan plan = make_plan(planned, job->seeds);
+      SweepPlan plan = make_plan(selected, job->seeds);
+      PlanOverrides overrides;
+      overrides.max_rounds = job->max_rounds;
+      overrides.engine = job->engine;
+      apply_overrides(overrides, &plan);
       sink.set_plan(&plan);
       outcome = run_streaming_sweep(plan, pool, StreamingSweepOptions{}, sink);
     } catch (const std::exception& error) {
@@ -372,13 +309,9 @@ int serve(const Options& options, std::istream& jobs) {
     if (check_deadline()) break;
   }
 
-  if (json_writer.has_value()) json_writer->finish();
-  bool written = true;
-  check_written(json_file, "--json", options.json_path, &written);
-  check_written(csv_file, "--csv", options.csv_path, &written);
-  if (!written) return 2;
   std::printf("serve: done (%zu job(s), %d failed)\n", executed_jobs,
               failed_jobs);
+  if (!outputs.finish()) return 2;
   if (failed_jobs > 0) return 1;
   return deadline_fired ? 3 : 0;
 }
