@@ -72,7 +72,6 @@ class EngineView {
 
  private:
   friend class Simulation;
-  friend class UnslottedSimulation;
 
   int F_ = 1;
   int t_ = 0;

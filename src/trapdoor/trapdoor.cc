@@ -84,7 +84,11 @@ void TrapdoorProtocol::adopt_leader(const LeaderMsg& msg) {
 
 bool TrapdoorProtocol::handle_message(const Message& message) {
   if (const auto* leader = std::get_if<LeaderMsg>(&message.payload)) {
-    if (role_ != Role::kLeader) {
+    // A numbered node stays on one numbering (Section 3, Correctness): it
+    // re-adopts only from the leader it follows, which is the drift resync.
+    // A second leader's beacon would make its output jump.
+    if (role_ != Role::kLeader &&
+        (!has_sync_ || leader->leader_uid == adopted_leader_uid_)) {
       adopt_leader(*leader);
       return true;
     }

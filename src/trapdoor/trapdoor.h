@@ -9,7 +9,8 @@
 // epochs becomes leader, picks a round numbering (its own age), and
 // thereafter broadcasts the numbering with probability 1/2 each round on a
 // random frequency in [0, F'). Any node hearing a leader adopts the
-// numbering immediately and starts outputting round numbers.
+// numbering immediately and starts outputting round numbers; once
+// numbered, it re-adopts only from the leader it follows.
 //
 // Theorem 10: solves wireless synchronization within
 // O(F/(F-t) log^2 N + F t/(F-t) log N) rounds, with high probability.

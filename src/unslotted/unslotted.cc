@@ -1,242 +1,65 @@
 #include "src/unslotted/unslotted.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/common/require.h"
 
 namespace wsync {
 
-namespace {
-constexpr uint64_t kAdversaryStream = 0xBAD0'0001;
-constexpr uint64_t kActivationStream = 0xBAD0'0002;
-constexpr uint64_t kUidStream = 0xBAD0'0003;
-constexpr uint64_t kPhaseStream = 0xBAD0'0004;
-constexpr uint64_t kNodeStreamBase = 0x4E0D'8000;
-}  // namespace
-
-UnslottedSimulation::UnslottedSimulation(
-    const UnslottedConfig& config, ProtocolFactory factory,
-    std::unique_ptr<Adversary> adversary,
-    std::unique_ptr<ActivationSchedule> activation)
-    : config_(config),
-      factory_(std::move(factory)),
-      adversary_(std::move(adversary)),
-      activation_(std::move(activation)) {
-  WSYNC_REQUIRE(config_.F >= 1, "need at least one frequency");
-  WSYNC_REQUIRE(config_.t >= 0 && config_.t < config_.F,
-                "adversary budget must satisfy 0 <= t < F");
-  WSYNC_REQUIRE(config_.n >= 1 && config_.N >= config_.n,
-                "need 1 <= n <= N");
-  WSYNC_REQUIRE(config_.ticks_per_slot >= 1,
-                "ticks_per_slot must be at least 1");
-  WSYNC_REQUIRE(factory_ != nullptr && adversary_ != nullptr &&
-                    activation_ != nullptr,
-                "factory, adversary and activation are required");
-
-  const Rng master(config_.seed);
-  adversary_rng_ = master.fork(kAdversaryStream);
-  activation_rng_ = master.fork(kActivationStream);
-  uid_rng_ = master.fork(kUidStream);
-  phase_rng_ = master.fork(kPhaseStream);
-
-  nodes_.resize(static_cast<size_t>(config_.n));
-  for (int i = 0; i < config_.n; ++i) {
-    nodes_[static_cast<size_t>(i)].rng =
-        master.fork(kNodeStreamBase + static_cast<uint64_t>(i));
-  }
-
-  view_.F_ = config_.F;
-  view_.t_ = config_.t;
-  view_.N_ = config_.N;
-  view_.deliveries_per_freq_.assign(static_cast<size_t>(config_.F), 0);
-  view_.listens_per_freq_.assign(static_cast<size_t>(config_.F), 0);
-
-  transmitters_.assign(static_cast<size_t>(config_.F), 0);
-  sole_transmitter_.assign(static_cast<size_t>(config_.F), kNoNode);
-  disrupted_flag_.assign(static_cast<size_t>(config_.F), 0);
+UnslottedProtocol::UnslottedProtocol(std::unique_ptr<Protocol> inner,
+                                     int ticks_per_slot)
+    : inner_(std::move(inner)), ticks_per_slot_(ticks_per_slot) {
+  WSYNC_REQUIRE(inner_ != nullptr, "inner protocol is required");
+  WSYNC_REQUIRE(ticks_per_slot_ >= 1, "ticks_per_slot must be at least 1");
 }
 
-void UnslottedSimulation::begin_round(NodeId id, NodeSlot& slot) {
-  const RoundAction action = slot.protocol->act(slot.rng);
-  WSYNC_REQUIRE(action.frequency >= 0 && action.frequency < config_.F,
-                "protocol chose a frequency outside [0, F)");
-  WSYNC_REQUIRE(action.broadcast == action.payload.has_value(),
-                "broadcast implies payload and listen implies none");
-  slot.freq = action.frequency;
-  slot.broadcasting = action.broadcast;
-  if (action.broadcast) slot.payload = *action.payload;
-  slot.received.reset();
-  slot.round_start = now_;
-  (void)id;
+void UnslottedProtocol::on_activate(Rng& rng) {
+  // At T = 1 nothing is drawn, so the node's stream stays the slotted one.
+  if (ticks_per_slot_ > 1) {
+    phase_ = static_cast<int>(
+        rng.next_below(static_cast<uint64_t>(ticks_per_slot_)));
+  }
+  tick_ = -phase_;
+  inner_->on_activate(rng);
 }
 
-void UnslottedSimulation::end_round(NodeSlot& slot) {
-  slot.protocol->on_round_end(slot.received, slot.rng);
-  slot.last_output = slot.protocol->output();
-  slot.received.reset();
+RoundAction UnslottedProtocol::act(Rng& rng) {
+  if (tick_ < 0) return RoundAction::sleep();
+  if (tick_ == 0) held_ = inner_->act(rng);
+  return held_;
 }
 
-void UnslottedSimulation::tick() {
-  const int T = config_.ticks_per_slot;
-
-  // (1) Adversary commits this tick's disruption from history.
-  std::vector<Frequency> disrupted = adversary_->disrupt(view_, adversary_rng_);
-  std::sort(disrupted.begin(), disrupted.end());
-  disrupted.erase(std::unique(disrupted.begin(), disrupted.end()),
-                  disrupted.end());
-  WSYNC_REQUIRE(static_cast<int>(disrupted.size()) <= config_.t,
-                "adversary exceeded its per-tick budget t");
-  std::fill(disrupted_flag_.begin(), disrupted_flag_.end(), 0);
-  for (Frequency f : disrupted) {
-    WSYNC_REQUIRE(f >= 0 && f < config_.F, "disrupted frequency out of range");
-    disrupted_flag_[static_cast<size_t>(f)] = 1;
-  }
-
-  // (2) Slot-granular activations, with a random phase per node.
-  if (now_ % T == 0) {
-    const RoundId slot_index = now_ / T;
-    for (NodeId id : activation_->activations(slot_index, activation_rng_)) {
-      WSYNC_REQUIRE(id >= 0 && id < config_.n, "activation id out of range");
-      NodeSlot& slot = nodes_[static_cast<size_t>(id)];
-      WSYNC_REQUIRE(!slot.active, "node activated twice");
-      ProtocolEnv env;
-      env.F = config_.F;
-      env.t = config_.t;
-      env.N = config_.N;
-      env.uid = uid_rng_.next_u64();
-      env.node_id = id;
-      slot.protocol = factory_(env);
-      slot.active = true;
-      slot.phase =
-          static_cast<int>(phase_rng_.next_below(static_cast<uint64_t>(T)));
-      slot.protocol->on_activate(slot.rng);
-      ++activated_total_;
-      // The node's first round begins at the next tick matching its phase.
-      slot.round_start = -1;
-    }
-  }
-
-  // (3) Round boundaries: nodes whose grid lines up with this tick first
-  // close the previous round, then open the next one.
-  for (int i = 0; i < config_.n; ++i) {
-    NodeSlot& slot = nodes_[static_cast<size_t>(i)];
-    if (!slot.active) continue;
-    if ((now_ - slot.phase) % T == 0 && now_ >= slot.phase) {
-      if (slot.round_start >= 0) end_round(slot);
-      begin_round(i, slot);
-    }
-  }
-
-  // (4) Per-tick resolution among nodes currently mid-round.
-  std::fill(transmitters_.begin(), transmitters_.end(), 0);
-  std::fill(sole_transmitter_.begin(), sole_transmitter_.end(), kNoNode);
-  RoundStats stats;
-  stats.round = now_;
-  stats.per_freq.assign(static_cast<size_t>(config_.F), FreqRoundStats{});
-  for (int f = 0; f < config_.F; ++f) {
-    stats.per_freq[static_cast<size_t>(f)].disrupted =
-        disrupted_flag_[static_cast<size_t>(f)] != 0;
-  }
-
-  for (int i = 0; i < config_.n; ++i) {
-    NodeSlot& slot = nodes_[static_cast<size_t>(i)];
-    if (!slot.active || slot.round_start < 0) continue;
-    const auto fi = static_cast<size_t>(slot.freq);
-    if (slot.broadcasting) {
-      ++transmitters_[fi];
-      ++stats.per_freq[fi].broadcasters;
-      sole_transmitter_[fi] = transmitters_[fi] == 1 ? i : kNoNode;
-    } else {
-      ++stats.per_freq[fi].listeners;
-      ++view_.listens_per_freq_[fi];
-    }
-  }
-
-  int deliveries = 0;
-  for (int i = 0; i < config_.n; ++i) {
-    NodeSlot& slot = nodes_[static_cast<size_t>(i)];
-    if (!slot.active || slot.round_start < 0 || slot.broadcasting) continue;
-    if (slot.received.has_value()) continue;  // already heard this round
-    const auto fi = static_cast<size_t>(slot.freq);
-    if (transmitters_[fi] == 1 && disrupted_flag_[fi] == 0) {
-      Message m;
-      m.sender = sole_transmitter_[fi];
-      m.frequency = slot.freq;
-      m.payload = nodes_[static_cast<size_t>(m.sender)].payload;
-      slot.received = std::move(m);
-      ++deliveries;
-      ++view_.deliveries_per_freq_[fi];
-      stats.per_freq[fi].delivered = true;
-    }
-  }
-  stats.deliveries = deliveries;
-
-  view_.last_round_ = stats;
-  view_.round_ = now_ + 1;
-  view_.active_count_ = activated_total_;
-  ++now_;
+void UnslottedProtocol::on_round_end(const std::optional<Message>& received,
+                                     Rng& rng) {
+  // A node waiting out its phase sleeps, so it receives nothing.
+  if (!heard_.has_value()) heard_ = received;
+  if (++tick_ < ticks_per_slot_) return;
+  tick_ = 0;
+  inner_->on_round_end(heard_, rng);
+  heard_.reset();
 }
 
-UnslottedSimulation::RunResult UnslottedSimulation::run_until_synced(
-    int64_t max_ticks) {
-  WSYNC_REQUIRE(max_ticks >= 0, "max_ticks must be non-negative");
-  while (now_ < max_ticks) {
-    tick();
-    if (all_synced()) return RunResult{true, now_};
-  }
-  return RunResult{all_synced(), now_};
+double UnslottedProtocol::broadcast_probability() const {
+  if (tick_ < 0) return 0.0;
+  if (tick_ == 0) return inner_->broadcast_probability();
+  return held_.broadcast ? 1.0 : 0.0;
 }
 
-bool UnslottedSimulation::all_synced() const {
-  if (activated_total_ < config_.n) return false;
-  for (const NodeSlot& slot : nodes_) {
-    if (!slot.active) return false;
-    if (!slot.last_output.has_number()) return false;
-  }
-  return true;
+ProtocolFactory UnslottedProtocol::factory(ProtocolFactory inner,
+                                           int ticks_per_slot) {
+  WSYNC_REQUIRE(inner != nullptr, "inner protocol factory is required");
+  WSYNC_REQUIRE(ticks_per_slot >= 1, "ticks_per_slot must be at least 1");
+  return [inner = std::move(inner),
+          ticks_per_slot](const ProtocolEnv& env) -> std::unique_ptr<Protocol> {
+    return std::make_unique<UnslottedProtocol>(inner(env), ticks_per_slot);
+  };
 }
 
-bool UnslottedSimulation::is_active(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  return nodes_[static_cast<size_t>(id)].active;
-}
-
-SyncOutput UnslottedSimulation::output(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  return nodes_[static_cast<size_t>(id)].last_output;
-}
-
-Role UnslottedSimulation::role(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  const NodeSlot& slot = nodes_[static_cast<size_t>(id)];
-  if (!slot.active) return Role::kInactive;
-  return slot.protocol->role();
-}
-
-int UnslottedSimulation::phase(NodeId id) const {
-  WSYNC_REQUIRE(id >= 0 && id < config_.n, "node id out of range");
-  WSYNC_REQUIRE(nodes_[static_cast<size_t>(id)].active,
-                "node not active yet");
-  return nodes_[static_cast<size_t>(id)].phase;
-}
-
-int64_t UnslottedSimulation::output_spread() const {
-  int64_t lo = 0;
-  int64_t hi = 0;
-  int count = 0;
-  for (const NodeSlot& slot : nodes_) {
-    if (!slot.active || !slot.last_output.has_number()) continue;
-    const int64_t v = slot.last_output.value;
-    if (count == 0) {
-      lo = v;
-      hi = v;
-    } else {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    ++count;
-  }
-  return count >= 2 ? hi - lo : -1;
+SlotActivation::SlotActivation(std::unique_ptr<ActivationSchedule> slots,
+                               int ticks_per_slot)
+    : slots_(std::move(slots)), ticks_per_slot_(ticks_per_slot) {
+  WSYNC_REQUIRE(slots_ != nullptr, "slot activation schedule is required");
+  WSYNC_REQUIRE(ticks_per_slot_ >= 1, "ticks_per_slot must be at least 1");
 }
 
 }  // namespace wsync

@@ -7,23 +7,27 @@
 // techniques can be applied to modify our protocols to work in a setting
 // without synchronized round boundaries."
 //
-// This module implements that transformation and demonstrates it on the
-// paper's protocols. Physical time is divided into TICKS; each node's
-// logical round spans `ticks_per_slot` consecutive ticks, starting at a
-// per-node phase offset chosen at activation. A broadcaster retransmits its
-// message in every tick of its logical round; a listener receives the first
-// message from any tick of its logical round during which exactly one node
-// transmitted on its frequency and the adversary did not disrupt it. With
-// ticks_per_slot = 2 this is the classical doubling transform: any two
-// overlapping logical rounds share at least one full tick, so the slotted
-// analysis carries over at a 2x cost.
+// The transform is per node, so it is two adapters on the one round body:
+// an unslotted run is a Simulation whose rounds are physical TICKS.
+//   * UnslottedProtocol wraps any slotted Protocol and stretches each of its
+//     logical rounds over T = ticks_per_slot ticks, from a per-node phase
+//     in [0, T) drawn at activation. It holds the round's action on every
+//     tick (a broadcaster retransmits), keeps the first message heard in
+//     any tick, and closes the inner round on the round's last tick.
+//   * SlotActivation wakes slot s of any ActivationSchedule at tick s*T.
+// With T = 2 this is the classical doubling transform: any two overlapping
+// logical rounds share a full tick, so the slotted analysis carries over
+// at a 2x cost. T = 1 is the slotted run, bit for bit.
 //
-// Unchanged Protocol implementations (Trapdoor, Good Samaritan, ...) run on
-// top of this engine; only the notion of "round" differs. Outputs of
-// phase-shifted nodes can legitimately differ by one (their round
-// boundaries interleave), so the agreement property becomes "all non-bottom
-// outputs within any tick differ by at most one" — checked by
-// UnslottedSimulation::output_spread().
+// Agreement becomes a bound on the spread of numbered outputs within one
+// tick, measured as 0 at T = 1, 1 at T = 2 and 2 at T = 3.
+// Interleaved phases cost one; from T = 3 on a listener's logical round
+// can also straddle two leader rounds and adopt either number.
+//
+// Engine rules apply per tick: the adversary's `delivered` flag means a
+// sole undisrupted broadcaster, RoundReport::deliveries counts receptions
+// per tick, and phase ticks are billed as sleep. With no asleep_for()
+// prediction, the sparse engine visits a wrapped node every tick.
 #ifndef WSYNC_UNSLOTTED_UNSLOTTED_H_
 #define WSYNC_UNSLOTTED_UNSLOTTED_H_
 
@@ -31,90 +35,58 @@
 #include <optional>
 #include <vector>
 
-#include "src/adversary/adversary.h"
-#include "src/common/rng.h"
-#include "src/common/types.h"
 #include "src/protocol/protocol.h"
 #include "src/radio/activation.h"
-#include "src/radio/engine_view.h"
 
 namespace wsync {
 
-struct UnslottedConfig {
-  int F = 1;
-  int t = 0;          ///< adversary budget PER TICK
-  int64_t N = 1;
-  int n = 1;
-  uint64_t seed = 1;
-  int ticks_per_slot = 2;  ///< transmission repetition factor (>= 1)
-};
-
-class UnslottedSimulation {
+class UnslottedProtocol final : public Protocol {
  public:
-  /// `activation` is interpreted in slot units (slot s = ticks
-  /// [s*T, (s+1)*T)); each woken node draws a phase offset in [0, T).
-  UnslottedSimulation(const UnslottedConfig& config, ProtocolFactory factory,
-                      std::unique_ptr<Adversary> adversary,
-                      std::unique_ptr<ActivationSchedule> activation);
+  UnslottedProtocol(std::unique_ptr<Protocol> inner, int ticks_per_slot);
 
-  /// Executes one physical tick.
-  void tick();
+  void on_activate(Rng& rng) override;
+  RoundAction act(Rng& rng) override;
+  void on_round_end(const std::optional<Message>& received,
+                    Rng& rng) override;
+  SyncOutput output() const override { return inner_->output(); }
+  Role role() const override { return inner_->role(); }
+  double broadcast_probability() const override;
+  int64_t resync_corrections() const override {
+    return inner_->resync_corrections();
+  }
 
-  struct RunResult {
-    bool synced = false;
-    int64_t ticks = 0;
-  };
-  /// Runs until every node has been activated and outputs a number, or the
-  /// tick budget is exhausted.
-  RunResult run_until_synced(int64_t max_ticks);
+  /// Wraps every instance `inner` builds.
+  static ProtocolFactory factory(ProtocolFactory inner, int ticks_per_slot);
 
-  int64_t ticks() const { return now_; }
-  bool all_synced() const;
-  bool is_active(NodeId id) const;
-  SyncOutput output(NodeId id) const;
-  Role role(NodeId id) const;
-  int phase(NodeId id) const;  ///< the node's tick offset in [0, T)
-  /// Max difference between non-bottom outputs right now (0 or 1 in a
-  /// correct execution; -1 if fewer than two nodes output).
-  int64_t output_spread() const;
+  /// The node's tick offset in [0, T), fixed at activation.
+  int phase() const { return phase_; }
+  const Protocol& inner() const { return *inner_; }
 
  private:
-  struct NodeSlot {
-    std::unique_ptr<Protocol> protocol;
-    Rng rng{0};
-    bool active = false;
-    int phase = 0;             ///< tick offset of this node's round grid
-    int64_t round_start = -1;  ///< tick at which the current round began
-    // Current round's action, held for the whole round:
-    Frequency freq = kNoFrequency;
-    bool broadcasting = false;
-    Payload payload;
-    std::optional<Message> received;  ///< first clean reception this round
-    SyncOutput last_output;
-  };
+  std::unique_ptr<Protocol> inner_;
+  int ticks_per_slot_;
+  int phase_ = 0;
+  int tick_ = 0;  ///< ticks of the logical round done; < 0 during the phase
+  RoundAction held_;  ///< the logical round's action, replayed every tick
+  std::optional<Message> heard_;  ///< first reception of the logical round
+};
 
-  void begin_round(NodeId id, NodeSlot& slot);
-  void end_round(NodeSlot& slot);
+/// Wakes slot s of `slots` at tick s * ticks_per_slot.
+class SlotActivation final : public ActivationSchedule {
+ public:
+  SlotActivation(std::unique_ptr<ActivationSchedule> slots,
+                 int ticks_per_slot);
+  std::vector<NodeId> activations(RoundId tick, Rng& rng) override {
+    if (tick % ticks_per_slot_ != 0) return {};
+    return slots_->activations(tick / ticks_per_slot_, rng);
+  }
+  RoundId last_activation_round() const override {
+    return slots_->last_activation_round() * ticks_per_slot_;
+  }
 
-  UnslottedConfig config_;
-  ProtocolFactory factory_;
-  std::unique_ptr<Adversary> adversary_;
-  std::unique_ptr<ActivationSchedule> activation_;
-
-  Rng adversary_rng_{0};
-  Rng activation_rng_{0};
-  Rng uid_rng_{0};
-  Rng phase_rng_{0};
-
-  std::vector<NodeSlot> nodes_;
-  int activated_total_ = 0;
-  int64_t now_ = 0;
-  EngineView view_;  ///< per-tick history for the adversary
-
-  // per-tick scratch
-  std::vector<int> transmitters_;
-  std::vector<NodeId> sole_transmitter_;
-  std::vector<char> disrupted_flag_;
+ private:
+  std::unique_ptr<ActivationSchedule> slots_;
+  int ticks_per_slot_;
 };
 
 }  // namespace wsync

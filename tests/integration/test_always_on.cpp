@@ -2,8 +2,9 @@
 // baselines: none of them ever emits RoundAction::sleep(), so for every
 // node awake-rounds ≡ rounds-since-activation (their radio-use cost IS
 // their round count — the always-on premise every energy comparison in the
-// repo leans on). The unslotted transform runs these same Protocol
-// instances on its tick engine, so the pin covers it too.
+// repo leans on). The unslotted adapter wraps these same Protocol
+// instances and sleeps only through the phase ticks before a node's first
+// logical round; its own case below pins that.
 //
 // The duty-cycled subsystem is the deliberate exception, asserted in the
 // opposite direction: its nodes MUST sleep.
@@ -11,9 +12,12 @@
 
 #include <algorithm>
 
+#include "src/adversary/basic.h"
 #include "src/experiment/sweep.h"
 #include "src/radio/engine.h"
 #include "src/sync/runner.h"
+#include "src/trapdoor/trapdoor.h"
+#include "src/unslotted/unslotted.h"
 
 namespace wsync {
 namespace {
@@ -79,6 +83,43 @@ TEST(AlwaysOnPinTest, DutyCycledProtocolsDoSleep) {
        {ProtocolKind::kDutyCycle, ProtocolKind::kEnergyOracle}) {
     assert_sleep_shape(kind, /*expect_sleeping=*/true);
   }
+}
+
+TEST(AlwaysOnPinTest, UnslottedTrapdoorSleepsOnlyThroughItsPhase) {
+  // A wrapped node holds its logical round's action on every tick, so its
+  // radio is on from its first logical round on: awake ticks equal ticks
+  // since activation minus its phase. The dense engine's strict ledger
+  // checks conservation every tick.
+  const int ticks_per_slot = 3;
+  SimConfig config;
+  config.F = 8;
+  config.t = 2;
+  config.N = 16;
+  config.n = 6;
+  config.seed = 7;
+  config.engine = EngineMode::kDense;
+  Simulation sim(config,
+                 UnslottedProtocol::factory(TrapdoorProtocol::factory(),
+                                            ticks_per_slot),
+                 std::make_unique<RandomSubsetAdversary>(2),
+                 std::make_unique<SlotActivation>(
+                     std::make_unique<StaggeredUniformActivation>(config.n, 8),
+                     ticks_per_slot));
+  const RoundId ticks = 600;
+  for (RoundId r = 0; r < ticks; ++r) sim.step();
+
+  bool any_phase = false;
+  for (NodeId id = 0; id < config.n; ++id) {
+    const int phase =
+        dynamic_cast<const UnslottedProtocol&>(sim.protocol(id)).phase();
+    const NodeEnergy& energy = sim.energy().node(id);
+    const RoundId active = ticks - sim.activation_round(id);
+    ASSERT_EQ(energy.active_rounds, active) << "node " << id;
+    ASSERT_EQ(energy.awake_rounds(), active - phase) << "node " << id;
+    ASSERT_EQ(energy.sleep_rounds, ticks - active + phase) << "node " << id;
+    any_phase |= phase > 0;
+  }
+  EXPECT_TRUE(any_phase) << "no node drew a phase; the pin shows nothing";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <type_traits>
 
 #include "tests/testing/point_results.h"
+#include "tests/testing/scratch_dir.h"
 
 namespace wsync {
 namespace {
@@ -139,13 +140,12 @@ TEST(CheckpointCodec, NegativeCountsAndPointIndicesAreRejected) {
 
 class CheckpointFileTest : public ::testing::Test {
  protected:
-  // Under `ctest -j` each case is its own concurrent process; the file
-  // name carries the case name so cases never race on a shared path.
-  std::string path_ = ::testing::TempDir() + "checkpoint_test_" +
-                      ::testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name() +
-                      ".txt";
+  // Each process writes in its own scratch directory; the file name
+  // carries the case name so cases run in one process never share a path.
+  std::string path_ = testing::scratch_path(
+      std::string("checkpoint_test_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt");
 
   void write_file(const std::string& content) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/service/checkpoint.h"
+#include "tests/testing/scratch_dir.h"
 
 namespace wsync {
 namespace {
@@ -108,7 +109,7 @@ std::string walled_metrics_prefix(const std::string& document) {
 
 class CrashResumeTest : public ::testing::Test {
  protected:
-  std::string tmp_ = ::testing::TempDir();
+  std::string tmp_ = testing::scratch_dir();
 
   /// One uninterrupted reference run; returns exit code.
   int baseline(const std::string& tag) {
@@ -127,11 +128,9 @@ TEST_F(CrashResumeTest, KillAfterCheckpointedChunksThenResumeIsByteIdentical) {
   ASSERT_FALSE(ref_csv.empty());
 
   // Throttled checkpointed run, killed once 3 chunks are on disk. The
-  // checkpoint must not exist yet: TempDir() is stable across runs, and a
-  // leftover file from a previous run would satisfy await_chunks before
-  // the child even truncates it.
+  // scratch directory is fresh per process, so no leftover checkpoint can
+  // satisfy await_chunks before the child even truncates it.
   const std::string ck = tmp_ + "kill.ck";
-  std::remove(ck.c_str());
   const pid_t pid = spawn_run({"--checkpoint", ck, "--throttle-ms", "150",
                                "--json", tmp_ + "kill.json", "--csv",
                                tmp_ + "kill.csv"},

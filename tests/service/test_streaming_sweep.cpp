@@ -20,6 +20,7 @@
 #include "src/service/run_metrics.h"
 #include "src/telemetry/metrics.h"
 #include "tests/testing/point_results.h"
+#include "tests/testing/scratch_dir.h"
 
 namespace wsync {
 namespace {
@@ -160,7 +161,7 @@ TEST(StreamingSweepTest, FullResumeComputesNothingAndMatches) {
   const std::vector<std::string> reference =
       run_and_record(plan, /*workers=*/2, /*window=*/0);
 
-  const std::string path = ::testing::TempDir() + "sweep_full_resume.txt";
+  const std::string path = testing::scratch_path("sweep_full_resume.txt");
   const uint64_t fingerprint = plan_fingerprint(plan);
   {
     ThreadPool pool(2);
@@ -199,8 +200,7 @@ TEST(StreamingSweepTest, PartialResumeRecomputesOnlyTheRest) {
     ThreadPool pool(2);
     RecordingSink sink;
     sink.attach(&plan);
-    const std::string path =
-        ::testing::TempDir() + "sweep_partial_resume.txt";
+    const std::string path = testing::scratch_path("sweep_partial_resume.txt");
     CheckpointWriter writer(path, plan_fingerprint(plan), /*resume=*/false);
     StreamingSweepOptions options;
     options.checkpoint = &writer;

@@ -19,6 +19,7 @@
 #include "src/service/run_metrics.h"
 #include "src/service/streaming_sweep.h"
 #include "src/telemetry/metrics.h"
+#include "tests/testing/scratch_dir.h"
 
 namespace wsync {
 namespace {
@@ -128,7 +129,7 @@ TEST(MetricsIdentityTest, ResumedRunAccumulatesTheOneShotBlocks) {
   const SweepPlan plan = slice_plan(EngineMode::kDense);
   const MetricsCapture one_shot = run_and_capture(plan, /*workers=*/2);
 
-  const std::string path = ::testing::TempDir() + "metrics_identity_ckpt.txt";
+  const std::string path = testing::scratch_path("metrics_identity_ckpt.txt");
   const uint64_t fingerprint = plan_fingerprint(plan);
   {
     CheckpointWriter writer(path, fingerprint, /*resume=*/false);

@@ -192,6 +192,27 @@ TEST(TrapdoorProtocolTest, ReadoptionFromSameLeaderKeepsAgreement) {
   EXPECT_EQ(p.output().value, 102);
 }
 
+TEST(TrapdoorProtocolTest, SyncedNodeIgnoresASecondLeader) {
+  // Two leaders can coexist (asymmetric channel views, crash waves). A node
+  // numbered by leader 7 must not jump to leader 8's numbering; its own
+  // leader's beacons still resync it.
+  TrapdoorProtocol p(make_env(8, 2, 64, 42));
+  Rng rng(13);
+  p.on_activate(rng);
+  p.act(rng);
+  p.on_round_end(leader_message(7, 100), rng);
+  ASSERT_EQ(p.output().value, 100);
+  p.act(rng);
+  p.on_round_end(leader_message(8, 500), rng);
+  EXPECT_EQ(p.output().value, 101);
+  EXPECT_EQ(p.adopted_leader_uid(), 7u);
+  EXPECT_EQ(p.resync_corrections(), 0);
+  p.act(rng);
+  p.on_round_end(leader_message(7, 110), rng);
+  EXPECT_EQ(p.output().value, 110);
+  EXPECT_EQ(p.resync_corrections(), 1);
+}
+
 TEST(TrapdoorProtocolTest, KnockedOutStillAdoptsLeader) {
   TrapdoorProtocol p(make_env(8, 2, 64, 42));
   Rng rng(11);
